@@ -198,24 +198,19 @@ class CycloElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        a = UPoly([Fraction(c, self.den) for c in self.vec])
-        # extended Euclid keeping t with t*a == r (mod Phi_N)
-        r0, t0 = self.ctx.phi_poly, UPoly()
-        r1, t1 = a, UPoly([1])
-        while r1.degree > 0:
-            q, r2 = divmod(r0, r1)
-            r0, t0, r1, t1 = r1, t1, r2, t0 - q * t1
-        if r1.is_zero():
+        # den * a^(-1) with a = vec: solve M_a y = 1, where column j of the
+        # integer matrix M_a holds a * z^j reduced mod Phi_N
+        col = self.vec
+        cols = [col]
+        for _ in range(self.ctx.degree - 1):
+            col = self.ctx.reduce((0,) + col)
+            cols.append(col)
+        one = (1,) + (0,) * (self.ctx.degree - 1)
+        sol = _solve_int(cols, one)
+        if sol is None:
             raise ZeroDivisionError("element is a zero divisor (conductor bug)")
-        inv = t1 * (1 / Fraction(r1.constant()))
-        coeffs = [Fraction(c) for c in inv.coeffs]
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        vec = [0] * self.ctx.degree
-        for i, c in enumerate(coeffs):
-            vec[i] = int(c * den)
-        return CycloElem(self.ctx, vec, den)
+        nums, det = sol
+        return CycloElem(self.ctx, [self.den * c for c in nums], det)
 
     # -- predicates and conversions -----------------------------------
 
@@ -282,10 +277,6 @@ class CycloElem:
         if self.den == 1:
             return body
         return "(%s)/%d" % (body, self.den)
-
-
-def galois_apply(x, j):
-    return x.galois(j)
 
 
 def galois_norm(x):
@@ -366,42 +357,61 @@ def u_at(seq, n):
     return seq[n] if n >= 0 else -seq[-n]
 
 
-def power_basis_coords(x, gen, dim):
-    """Write x as a Q-linear combination of 1, gen, .., gen^(dim-1), by exact
-    Gaussian elimination.  Returns the list of Fractions, or None when x is
-    not in the span."""
-    ctx = x.ctx
-    d = ctx.degree
-    cols = []
-    p = ctx.one()
-    for i in range(dim):
-        cols.append([Fraction(c, p.den) for c in p.vec])
-        p = p * gen
-    # rows: d equations, dim unknowns, augmented with x
-    aug = [[cols[j][i] for j in range(dim)] + [Fraction(x.vec[i], x.den)]
-           for i in range(d)]
-    row = 0
+def _solve_int(cols, rhs):
+    """Solve sum_j y_j * cols[j] = rhs over Q for integer vectors of one
+    length, by fraction-free elimination (Bareiss 1968) and back
+    substitution.
+
+    Returns (nums, det) with y_j = nums[j] / det, where det is the last
+    pivot and the unknowns of columns without a pivot are 0; or None when
+    rhs is not in the span of the columns.  Every division is exact: each
+    eliminated entry is a minor of the augmented matrix, and nums are the
+    Cramer numerators of the square system on the pivot rows and columns,
+    whose determinant is det."""
+    m, d = len(cols), len(rhs)
+    rows = [[col[i] for col in cols] + [rhs[i]] for i in range(d)]
+    prev = 1
     pivots = []
-    for col in range(dim):
-        piv = next((r for r in range(row, d) if aug[r][col] != 0), None)
+    for col in range(m):
+        k = len(pivots)
+        piv = next((r for r in range(k, d) if rows[r][col]), None)
         if piv is None:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [c / pv for c in aug[row]]
-        for r in range(d):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [c - f * pc for c, pc in zip(aug[r], aug[row])]
+        rows[k], rows[piv] = rows[piv], rows[k]
+        prow = rows[k][col:]
+        p = prow[0]
+        for row in rows[k + 1:]:
+            f = row[col]
+            row[col:] = [(p * a - f * b) // prev
+                         for a, b in zip(row[col:], prow)]
+        prev = p
         pivots.append(col)
-        row += 1
-    coords = [Fraction(0)] * dim
-    for r, col in enumerate(pivots):
-        coords[col] = aug[r][dim]
-    for r in range(row, d):
-        if aug[r][dim] != 0:
-            return None
-    return coords
+    if any(row[m] for row in rows[len(pivots):]):
+        return None
+    nums = [0] * m
+    for k in range(len(pivots) - 1, -1, -1):
+        row, col = rows[k], pivots[k]
+        acc = prev * row[m] - sum(row[j] * nums[j] for j in pivots[k + 1:])
+        nums[col] = acc // row[col]
+    return nums, prev
+
+
+def power_basis_coords(x, gen, dim):
+    """Write x as a Q-linear combination of 1, gen, .., gen^(dim-1), by exact
+    fraction-free elimination.  Returns the list of Fractions, or None when
+    x is not in the span."""
+    cols, dens = [], []
+    p = x.ctx.one()
+    for _ in range(dim):
+        cols.append(p.vec)
+        dens.append(p.den)
+        p = p * gen
+    # column j holds den_j * gen^j, so coordinate j is den_j * y_j
+    sol = _solve_int(cols, x.vec)
+    if sol is None:
+        return None
+    nums, det = sol
+    return [Fraction(dj * c, det * x.den) for dj, c in zip(dens, nums)]
 
 
 # -- quadratic extensions a^2 = phi a +/- 1 ----------------------------

@@ -3,8 +3,10 @@
 Coefficients are stored ascending.  They stay Python ints whenever they can;
 a Fraction only appears if a construction or division introduces one.  The
 product of two integer polynomials goes through Kronecker substitution (pack
-into one big int, one multiply, unpack), which is what keeps the big identity
-sweeps cheap.
+into one big int, one multiply, unpack), and the division of an integer
+polynomial by an integer one with leading coefficient +1 or -1 is synthetic
+division in ints.  Every v_n and Phi_N is built that way, which is what keeps
+the big identity sweeps cheap.
 """
 
 from fractions import Fraction
@@ -15,7 +17,9 @@ from .scalars import rat_str
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # exact type tests: isinstance against Fraction goes through the ABC
+    # machinery, and this runs on every coefficient of every UPoly
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -90,7 +94,7 @@ class UPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UPoly()
-        if all(isinstance(c, int) for c in a) and all(isinstance(c, int) for c in b):
+        if _all_int(a) and _all_int(b):
             return UPoly(_kronecker_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -118,6 +122,10 @@ class UPoly:
             other = UPoly([other])
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if _all_int(other.coeffs) and other.coeffs[-1] in (1, -1) \
+                and _all_int(self.coeffs):
+            q, r = _int_divmod(self.coeffs, other.coeffs)
+            return UPoly(q), UPoly(r)
         rem = [Fraction(c) for c in self.coeffs]
         lead = Fraction(other.leading())
         dn = other.degree
@@ -156,14 +164,40 @@ class UPoly:
             result = result * other + UPoly([c])
         return result
 
-    def derivative(self):
-        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return "UPoly(%r)" % (list(self.coeffs),)
 
     def __str__(self):
         return format_poly(self)
+
+
+def _all_int(cs):
+    return all(type(c) is int for c in cs)
+
+
+def _int_divmod(a, b):
+    """Quotient and remainder coefficient lists of int coefficients a by int
+    coefficients b whose leading one is +1 or -1.  Synthetic division: every
+    quotient coefficient is a remainder coefficient times +/-1, so nothing
+    leaves the integers."""
+    dn = len(b) - 1
+    rem = list(a)
+    nq = len(rem) - dn
+    if nq <= 0:
+        return [], rem
+    neg = b[-1] == -1
+    # the divisors here (X^d - 1, Phi_N, v_d) are often sparse
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    quo = [0] * nq
+    for i in range(nq - 1, -1, -1):
+        c = rem[i + dn]
+        if c:
+            if neg:
+                c = -c
+            quo[i] = c
+            for j, bc in terms:
+                rem[i + j] -= c * bc
+    return quo, rem[:dn]
 
 
 def _kronecker_mul(a, b):

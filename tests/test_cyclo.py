@@ -93,6 +93,14 @@ def test_power_basis_coords():
     assert acc == g * g + 2
 
 
+def test_power_basis_coords_rank_deficient():
+    # tau = root of v_5 has degree 2, so 1, tau, tau^2, tau^3 span only
+    # Q(tau); the unknowns of the dependent powers come back as 0
+    g = root_of_v(5, 1)
+    assert power_basis_coords(g * g, g, 4) == [-1, 3, 0, 0]
+    assert power_basis_coords(g.ctx.zeta(1), g, 4) is None
+
+
 def test_quad_pow_matches_closed_form():
     ctx = field_ctx(5)
     phi = root_of_v(5, 1) - 2  # sqrt(5) shifted: phi = tau - 2
