@@ -25,7 +25,7 @@ print()
 print("The step-2 recurrence ties everything together:")
 rep = check_identity("AR", -25, 25)
 print("  u_{n+4} = (X-2) u_{n+2} - u_n on |n| <= 25:",
-      "pass" if rep.passed else rep.failures)
+      "pass" if rep.passed else rep.records[0][2])
 
 print()
 print("The signed constant term theta(v_n) detects indices n = 2 p^k:")

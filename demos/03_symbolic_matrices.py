@@ -7,18 +7,18 @@ Run with: python demos/03_symbolic_matrices.py
 """
 
 from reflektor import sympoly
+from reflektor.matrices import pair_C
 
-s1, s2, s3 = sympoly.sym_generators()
+s1, s2, s3 = sympoly.GENS
 print("s1 =")
 for row in s1.rows:
     print("   [%s]" % ", ".join(str(x) for x in row))
 
 print()
 print("pairings read off the orders of products of two reflections:")
-print("  C(s1, s2) =", sympoly.pair_C_sym(s1, s2))
-print("  C(s2, s3) =", sympoly.pair_C_sym(s2, s3))
-print("  C(s2, s3 conjugated by s1) =",
-      sympoly.pair_C_sym(s2, s1 * s3 * s1))
+print("  C(s1, s2) =", pair_C(s1, s2))
+print("  C(s2, s3) =", pair_C(s2, s3))
+print("  C(s2, s3 conjugated by s1) =", pair_C(s2, s1 * s3 * s1))
 
 print()
 print("closed forms for (s_i s_j)^k, checked entrywise for |k| <= 5:")

@@ -8,7 +8,8 @@ Subcommands:
   group order|element-order|relation ...   closure-engine queries
 
 Exit status: 0 when everything passed, 1 when any check failed, 2 on a
-usage error (argparse's convention).
+usage error (argparse's convention) or bad input: an unknown or misspelt
+preset, a generator letter outside s1..s_rank, an argument out of range.
 """
 
 import argparse
@@ -17,13 +18,13 @@ import re
 import sys
 import time
 
-from . import identities
-from .cyclo import root_of_v, root_identity_suite, classification_search
+from .cyclo import root_of_v, root_identity_suite
 from .engine import closure, element_order, check_relation
-from .report import SuiteResult
+from .identities import check_all_identities
+from .report import timed
 from .reflrep import preset, preset_names
 from .suites import (PROFILES, SUITE_ORDER, run_all, run_suite,
-                     _CLASS_EXPECT, _absorb)
+                     classification_cases)
 from .sympoly import run_symbolic_suites
 from .upoly import u_poly, v_poly, format_poly
 
@@ -37,6 +38,13 @@ def _parse_range(text):
     if lo > hi:
         raise argparse.ArgumentTypeError("empty range %r" % text)
     return lo, hi
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
 
 
 def _parse_word(tokens):
@@ -87,35 +95,9 @@ def _print_report(res, as_json):
             print("     skipped: %s (%s)" % (rec[0], rec[2]))
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    res = fn()
-    res.elapsed = time.perf_counter() - start
-    return res
-
-
-def _verify_identities(args):
-    lo, hi = args.range
-    res = SuiteResult("identities")
-    for rep in identities.check_all_identities(lo, hi):
-        _absorb(res, rep, "%d..%d" % (lo, hi))
-    return res
-
-
-def _verify_classification(args):
-    res = SuiteResult("classification")
-    got = classification_search(args.bound)
-    expect = _CLASS_EXPECT.get(args.bound)
-    if expect is None:
-        # no frozen answer for this bound; report what was found
-        res.check(True, ("product", args.bound), str(got["product"]))
-        res.check(True, ("sum", args.bound), str(got["sum"]))
-        res.check(True, ("skipped", args.bound), str(got["skipped"]))
-        return res
-    for key in ("product", "sum", "skipped"):
-        res.check(got[key] == expect[key], (key, args.bound),
-                  "found %s" % (got[key],))
-    return res
+def _bad_input(command, exc):
+    print("%s: %s" % (command, exc), file=sys.stderr)
+    return 2
 
 
 def _format_field_poly(p):
@@ -137,7 +119,10 @@ def _format_field_poly(p):
 
 
 def cmd_upoly(args):
-    poly = u_poly(args.n) if args.family == "u" else v_poly(args.n)
+    try:
+        poly = u_poly(args.n) if args.family == "u" else v_poly(args.n)
+    except ValueError as exc:
+        return _bad_input("upoly", exc)
     print(format_poly(poly))
     return 0
 
@@ -150,21 +135,15 @@ def cmd_verify(args):
         print("verify: need a target or --all", file=sys.stderr)
         return 2
     elif args.target == "identities":
-        reports = [_timed(lambda: _verify_identities(args))]
+        lo, hi = args.range
+        reports = [timed(check_all_identities, lo, hi, "%d..%d" % (lo, hi))]
     elif args.target == "roots":
-        reports = [_timed(lambda: root_identity_suite(args.max_r))]
+        reports = [timed(root_identity_suite, args.max_r)]
     elif args.target == "classification":
-        reports = [_timed(lambda: _verify_classification(args))]
+        reports = [timed(classification_cases, "classification", args.bound)]
     elif args.target == "section2":
         lo, hi = args.k_range
-        kmax = max(abs(lo), abs(hi))
-
-        def run():
-            res = SuiteResult("section2")
-            for part in run_symbolic_suites(kmax):
-                res.merge(part)
-            return res
-        reports = [_timed(run)]
+        reports = [timed(run_symbolic_suites, max(abs(lo), abs(hi)))]
     elif args.target in SUITE_ORDER:
         reports = [run_suite(args.target, args.profile)]
     else:
@@ -181,11 +160,11 @@ def cmd_verify(args):
 
 
 def cmd_field(args):
-    if args.op == "root-of-v":
+    try:
         print(root_of_v(args.r, args.k))
-        return 0
-    print("field: unknown operation %r" % args.op, file=sys.stderr)
-    return 2
+    except ValueError as exc:
+        return _bad_input("field", exc)
+    return 0
 
 
 def _load_rep(name):
@@ -212,15 +191,16 @@ def cmd_rep(args):
                     print("  [" + ", ".join(str(x) for x in row) + "]")
         return 0
     if args.op == "delta":
-        print(rep.delta())
+        try:
+            print(rep.delta())
+        except ValueError as exc:
+            return _bad_input("rep", exc)
         return 0
     if args.op == "word":
         try:
-            word = _parse_word(args.word)
+            mat = rep.word(_parse_word(args.word))
         except ValueError as exc:
-            print("rep: %s" % exc, file=sys.stderr)
-            return 2
-        mat = rep.word(word)
+            return _bad_input("rep", exc)
         if args.charpoly:
             print(_format_field_poly(mat.char_poly()))
         else:
@@ -252,24 +232,18 @@ def cmd_group(args):
         return 0
     if args.op == "element-order":
         try:
-            word = _parse_word(args.word)
+            mat = rep.word(_parse_word(args.word))
         except ValueError as exc:
-            print("group: %s" % exc, file=sys.stderr)
-            return 2
-        order = element_order(rep.word(word))
+            return _bad_input("group", exc)
+        order = element_order(mat)
         print(order if order is not None else "no order found (cap hit)")
         return 0
     if args.op == "relation":
         try:
             (lw, le), rhs = _parse_eq(args.eq)
+            ok = check_relation(rep.gens, lw, le, *(rhs or (None, 1)))
         except ValueError as exc:
-            print("group: %s" % exc, file=sys.stderr)
-            return 2
-        if rhs is None:
-            ok = check_relation(rep.gens, lw, le)
-        else:
-            ok = check_relation(rep.gens, lw, le, rhs_word=rhs[0],
-                                rhs_exponent=rhs[1])
+            return _bad_input("group", exc)
         print("holds" if ok else "fails")
         return 0 if ok else 1
     return 2
@@ -327,7 +301,7 @@ def build_parser():
     gsub = p.add_subparsers(dest="op", required=True)
     q = gsub.add_parser("order")
     q.add_argument("--preset", required=True)
-    q.add_argument("--cap", type=int, default=1_000_000)
+    q.add_argument("--cap", type=_positive_int, default=1_000_000)
     q.add_argument("--json", action="store_true")
     q = gsub.add_parser("element-order")
     q.add_argument("--preset", required=True)

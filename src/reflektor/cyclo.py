@@ -263,20 +263,26 @@ class CycloElem:
             out[i * scale] += c
         return CycloElem(ctx2, ctx2.reduce(out), self.den)
 
-    def to_json(self):
-        return [self.ctx.N, self.den, list(self.vec)]
-
-    @staticmethod
-    def from_json(data):
-        n, den, vec = data
-        return CycloElem(field_ctx(n), vec, den)
-
     def __repr__(self):
         from .upoly import format_poly
         body = format_poly(UPoly(self.vec), var="z")
         if self.den == 1:
             return body
         return "(%s)/%d" % (body, self.den)
+
+
+def to_field(x, ctx):
+    """x (an int, a Fraction or a CycloElem) as an element of ctx.  An
+    element of the same conductor is kept, a rational one is read as its
+    Fraction whatever its conductor, and any other is lifted, which needs
+    its conductor to divide ctx's (ValueError otherwise)."""
+    if isinstance(x, CycloElem):
+        if x.ctx.N == ctx.N:
+            return x
+        if not x.is_rational():
+            return x.lift(ctx)
+        x = x.to_fraction()
+    return ctx.from_fraction(x)
 
 
 def galois_norm(x):

@@ -13,9 +13,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .matrices import SquareMat
+from .matrices import mat_word
 from .upoly import UPoly
-from .cyclo import CycloElem
 
 _MAX_ENTRY = 1 << 40  # overflow guard for the int64 tensor products
 
@@ -49,19 +48,6 @@ def _mat_to_array(mat, ctx):
             f = den // x.den
             arr[i, j, :] = [c * f for c in x.vec]
     return arr, den
-
-
-def _array_to_mat(arr, den, ctx):
-    n = arr.shape[0]
-    one, zero = ctx.one(), ctx.zero()
-    rows = [[CycloElem(ctx, [int(c) for c in arr[i, j]], den)
-             for j in range(n)] for i in range(n)]
-    return SquareMat(rows, one, zero)
-
-
-def _gens_ctx(mats):
-    ctx = mats[0].rows[0][0].ctx
-    return ctx
 
 
 def _batch_rmul(batch, dens, g_arr, g_den, tensor):
@@ -99,7 +85,7 @@ def closure(gens, cap=1_000_000, store_elements=True):
     """Breadth-first closure of the group generated by SquareMat generators
     with CycloElem entries.  Stops once more than cap distinct elements have
     been found, reporting cap_exceeded instead of an order."""
-    ctx = _gens_ctx(gens)
+    ctx = gens[0].rows[0][0].ctx
     n = gens[0].n
     tensor = ctx.structure_tensor()
     garrs = [_mat_to_array(g, ctx) for g in gens]
@@ -195,11 +181,10 @@ def check_relation(gens, word, exponent=1, rhs_word=None, rhs_exponent=1):
     """Whether (product of gens over word)^exponent equals the identity, or
     equals the analogous right-hand side when rhs_word is given.  Words are
     1-based generator index lists."""
-    from .matrices import mat_word
-    lhs = mat_word(gens, [i - 1 for i in word]) ** exponent
+    lhs = mat_word(gens, word) ** exponent
     if rhs_word is None:
         return lhs.is_identity()
-    rhs = mat_word(gens, [i - 1 for i in rhs_word]) ** rhs_exponent
+    rhs = mat_word(gens, rhs_word) ** rhs_exponent
     return lhs == rhs
 
 
@@ -207,10 +192,7 @@ def conjugate(gens, i, word):
     """g^w = w^-1 g w for 1-based index i and word of 1-based indices;
     the conjugating letters are involutions here so the inverse word is the
     reversal."""
-    from .matrices import mat_word
-    w = mat_word(gens, [j - 1 for j in word])
-    winv = mat_word(gens, [j - 1 for j in reversed(word)])
-    return winv * gens[i - 1] * w
+    return mat_word(gens, list(reversed(word)) + [i] + list(word))
 
 
 def center_order(result, gens):

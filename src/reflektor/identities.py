@@ -9,6 +9,7 @@ The recurrence tag AR is the step-2 form u_{n+4} = (X-2) u_{n+2} - u_n,
 which is the one the family actually satisfies for every integer n.
 """
 
+from .report import SuiteResult
 from .upoly import (UPoly, X, u_poly, v_poly, theta, prime_power_class,
                     n_prime, _divisors)
 
@@ -93,30 +94,27 @@ IDENTITIES = {
 ALL_TAGS = tuple(IDENTITIES)
 
 
-class IdentityReport:
-    def __init__(self, tag, cases, failures):
-        self.tag = tag
-        self.cases = cases
-        self.failures = failures
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def to_dict(self):
-        return {"tag": self.tag, "cases": self.cases,
-                "failures": [list(f) for f in self.failures]}
+def _result(name, label, cases, failures):
+    """A SuiteResult with the single case label, which passes when there
+    are no failing index tuples; the detail counts the tuples checked and
+    lists the first failing ones."""
+    res = SuiteResult(name)
+    detail = "%d index tuples" % cases
+    if failures:
+        detail += "; failing: %s" % (failures[:10],)
+    res.check(not failures, label, detail)
+    return res
 
 
-def check_identity(tag, lo, hi):
+def check_identity(tag, lo, hi, span=None):
     """Check one tag for every admissible index tuple with all indices in
-    [lo, hi].  Returns an IdentityReport with the failing tuples, if any."""
+    [lo, hi].  The one case is labelled (tag, span), or just tag."""
     if tag not in IDENTITIES:
         raise KeyError("unknown identity tag %r" % (tag,))
     arity, domain, build = IDENTITIES[tag]
-    span = range(lo, hi + 1)
-    tuples = [(n,) for n in span] if arity == 1 else \
-        [(n, m) for n in span for m in span]
+    values = range(lo, hi + 1)
+    tuples = [(n,) for n in values] if arity == 1 else \
+        [(n, m) for n in values for m in values]
     cases = 0
     failures = []
     for idx in tuples:
@@ -127,11 +125,15 @@ def check_identity(tag, lo, hi):
             if lhs != rhs:
                 failures.append(idx)
                 break
-    return IdentityReport(tag, cases, failures)
+    return _result(tag, (tag, span) if span else tag, cases, failures)
 
 
-def check_all_identities(lo, hi, tags=ALL_TAGS):
-    return [check_identity(t, lo, hi) for t in tags]
+def check_all_identities(lo, hi, span):
+    """Every tag of the catalog on [lo, hi], one case per tag."""
+    res = SuiteResult("identities")
+    for tag in ALL_TAGS:
+        res.merge(check_identity(tag, lo, hi, span))
+    return res
 
 
 def factorization_check(n_max):
@@ -148,7 +150,7 @@ def factorization_check(n_max):
             prod = prod * v_poly(d)
         if prod != u_poly(n):
             failures.append(n)
-    return IdentityReport("factorization", n_max, failures)
+    return _result("factorization", "factorization", n_max, failures)
 
 
 def theta_v_check(n_max):
@@ -157,7 +159,7 @@ def theta_v_check(n_max):
     for n in range(1, n_max + 1):
         if theta(v_poly(n)) != prime_power_class(n):
             failures.append(n)
-    return IdentityReport("theta_v", n_max, failures)
+    return _result("theta_v", "theta_v", n_max, failures)
 
 
 def reflection_map_check(n_max):
@@ -171,4 +173,4 @@ def reflection_map_check(n_max):
         mapped = vn.compose(FOUR_MINUS_X)
         if mapped != target and mapped != -target:
             failures.append(n)
-    return IdentityReport("reflection_map", n_max - 2, failures)
+    return _result("reflection_map", "reflection_map", n_max - 2, failures)

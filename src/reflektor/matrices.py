@@ -29,9 +29,6 @@ class SquareMat:
         return cls([[one if i == j else zero for j in range(n)]
                     for i in range(n)], one, zero)
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other):
         if not isinstance(other, SquareMat):
             return NotImplemented
@@ -91,9 +88,6 @@ class SquareMat:
         for i in range(1, self.n):
             acc = acc + self.rows[i][i]
         return acc
-
-    def transpose(self):
-        return SquareMat(list(zip(*self.rows)), self.one, self.zero)
 
     def is_identity(self):
         for i in range(self.n):
@@ -171,8 +165,29 @@ def sum_ring(row, vec, zero):
 
 
 def mat_word(mats, word):
-    """Product of mats[i] over i in word, in written order."""
+    """Product of the generators over the 1-based letters of word, in
+    written order: letter i stands for mats[i - 1]."""
     result = SquareMat.identity(mats[0].n, mats[0].one, mats[0].zero)
     for i in word:
-        result = result * mats[i]
+        if not 1 <= i <= len(mats):
+            raise ValueError("no generator s%d (have s1..s%d)"
+                             % (i, len(mats)))
+        result = result * mats[i - 1]
     return result
+
+
+def pair_C(s, t):
+    """C(s, t) = trace((s - 1)(t - 1)) for two reflections (trace n - 2),
+    over any entry ring; the pairing that controls the order of s t."""
+    n = s.n
+    for mat in (s, t):
+        if mat.trace() != n - 2:
+            raise ValueError("pair_C expects reflections "
+                             "(trace must be n - 2)")
+    acc = None
+    for i in range(n):
+        for j in range(n):
+            term = (s.rows[i][j] - (1 if i == j else 0)) * \
+                   (t.rows[j][i] - (1 if i == j else 0))
+            acc = term if acc is None else acc + term
+    return acc

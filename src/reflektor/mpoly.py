@@ -1,9 +1,8 @@
 """Sparse polynomials in the four edge constants alpha, beta, l, m.
 
 Terms are a dict from exponent 4-tuples to nonzero coefficients.  This is
-all the symbolic machinery the rank-3 closed-form checks need: ring ops,
-substitution, and a fraction-free pseudo-remainder for the conditional
-factorization claims.
+all the symbolic machinery the rank-3 closed-form checks need: ring ops and
+a fraction-free pseudo-remainder for the conditional factorization claims.
 """
 
 from fractions import Fraction
@@ -138,21 +137,6 @@ class MPoly:
             rest[var] = 0
             out[k].terms[tuple(rest)] = c
         return out
-
-    def subs(self, values):
-        """Substitute values (dict var index -> ring element) for all four
-        variables; partial substitution is not supported."""
-        result = None
-        for e, c in self.terms.items():
-            term = c
-            for i in range(NVARS):
-                if e[i]:
-                    term = term * values[i] ** e[i]
-            result = term if result is None else result + term
-        if result is None:
-            # caller decides what zero means; use int 0 which coerces
-            return values[0] - values[0]
-        return result
 
     def __repr__(self):
         if not self.terms:

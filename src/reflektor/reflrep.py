@@ -13,11 +13,10 @@ in code.
 
 import json
 import os
-from fractions import Fraction
 from math import gcd
 
-from .cyclo import CycloElem, field_ctx
-from .matrices import SquareMat, mat_word
+from .cyclo import CycloElem, field_ctx, to_field
+from .matrices import SquareMat, mat_word, pair_C
 from .upoly import v_poly
 
 _PRESET_PATH = os.path.join(os.path.dirname(__file__), "presets.json")
@@ -35,20 +34,20 @@ class DiagramSpec:
                 raise ValueError("bad edge (%d, %d)" % (i, j))
 
 
-def build_generators(spec, ctx):
-    """The rank reflection matrices over Q(zeta_conductor)."""
+def rank3_edges(alpha, beta, l, m, one):
+    """The fixed rank-3 layout: alpha = k_12 and beta = k_13 with
+    k_21 = k_31 = one, and the cycle pair (l, m) on {2, 3}."""
+    return {(1, 2): (alpha, one), (1, 3): (beta, one), (2, 3): (l, m)}
+
+
+def build_generators(spec, one, zero):
+    """The rank reflection matrices of spec over any ring: one and zero are
+    its unit and zero, and the edge weights are elements of it."""
     n = spec.rank
-    one, zero = ctx.one(), ctx.zero()
-
-    def as_elem(x):
-        if isinstance(x, CycloElem):
-            return x if x.ctx.N == ctx.N else x.lift(ctx)
-        return ctx.from_fraction(Fraction(x))
-
     weights = {}
     for (i, j), (kij, kji) in spec.edges.items():
-        weights[(i, j)] = as_elem(kij)
-        weights[(j, i)] = as_elem(kji)
+        weights[(i, j)] = kij
+        weights[(j, i)] = kji
 
     gens = []
     for i in range(1, n + 1):
@@ -61,12 +60,29 @@ def build_generators(spec, ctx):
     return gens
 
 
+def delta(a, b, l, m):
+    """8 - 2 alpha - 2 beta - 2 gamma - (alpha l + beta m) with gamma = l m,
+    the degeneracy invariant of the rank-3 diagram, over any ring."""
+    g = l * m
+    return 8 - 2 * a - 2 * b - 2 * g - (a * l + b * m)
+
+
+def theta_pair(a, b, l, m):
+    """(theta, theta'), whose difference theta' - theta is delta and whose
+    sum is alpha l - beta m."""
+    g = l * m
+    return (-4 + a + b + g + a * l, 4 - a - b - g - b * m)
+
+
 class ReflectionRep:
     def __init__(self, name, spec, ctx):
         self.name = name
-        self.spec = spec
+        self.spec = DiagramSpec(
+            spec.rank, {e: (to_field(kij, ctx), to_field(kji, ctx))
+                        for e, (kij, kji) in spec.edges.items()},
+            spec.conductor)
         self.ctx = ctx
-        self.gens = build_generators(spec, ctx)
+        self.gens = build_generators(self.spec, ctx.one(), ctx.zero())
         for i, s in enumerate(self.gens):
             if not (s * s).is_identity():
                 raise ValueError("generator s%d is not an involution" % (i + 1))
@@ -75,12 +91,9 @@ class ReflectionRep:
     def rank(self):
         return self.spec.rank
 
-    def identity(self):
-        return SquareMat.identity(self.rank, self.ctx.one(), self.ctx.zero())
-
     def word(self, indices):
         """Matrix of the word given as 1-based generator indices."""
-        return mat_word(self.gens, [i - 1 for i in indices])
+        return mat_word(self.gens, indices)
 
     def s0_word(self):
         """The extra reflection of the circuit diagram: s1 conjugated by
@@ -93,52 +106,24 @@ class ReflectionRep:
         """For rank 3: (alpha, beta, l, m) in the fixed layout
         alpha = k_12, beta = k_13, (l, m) on {2, 3}."""
         if self.rank != 3:
-            raise ValueError("edge_constants is a rank-3 helper")
-
-        def get(i, j):
-            if (min(i, j), max(i, j)) not in self.spec.edges:
-                return self.ctx.zero()
-            kij, kji = self.spec.edges[(min(i, j), max(i, j))]
-            x = kij if i < j else kji
-            if isinstance(x, CycloElem):
-                return x if x.ctx.N == self.ctx.N else x.lift(self.ctx)
-            return self.ctx.from_fraction(Fraction(x))
-
-        return get(1, 2), get(1, 3), get(2, 3), get(3, 2)
+            raise ValueError("%s has rank %d; the edge constants and delta "
+                             "need rank 3" % (self.name, self.rank))
+        absent = (self.ctx.zero(), self.ctx.zero())
+        edges = self.spec.edges
+        l, m = edges.get((2, 3), absent)
+        return edges.get((1, 2), absent)[0], edges.get((1, 3), absent)[0], l, m
 
     def delta(self):
-        """8 - 2 alpha - 2 beta - 2 gamma - (alpha l + beta m), the
-        degeneracy invariant of the rank-3 diagram."""
-        a, b, l, m = self.edge_constants()
-        g = l * m
-        return 8 - 2 * a - 2 * b - 2 * g - (a * l + b * m)
+        return delta(*self.edge_constants())
 
     def theta_pair(self):
-        a, b, l, m = self.edge_constants()
-        g = l * m
-        return (-4 + a + b + g + a * l, 4 - a - b - g - b * m)
-
-    def pair_C(self, s, t):
-        """trace((s - 1)(t - 1)); the pairing that controls the order of the
-        product of two reflections."""
-        n = s.n
-        for mat in (s, t):
-            if mat.trace() != n - 2:
-                raise ValueError("pair_C expects reflections "
-                                 "(trace must be n - 2)")
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = (s.rows[i][j] - (1 if i == j else 0)) * \
-                       (t.rows[j][i] - (1 if i == j else 0))
-                acc = term if acc is None else acc + term
-        return acc
+        return theta_pair(*self.edge_constants())
 
     def pair_C_order(self, s, t, pmax=60):
         """(C, order of s t): the order is read off from which v_p vanishes
         at C; None when no p <= pmax matches (C = 4 means unipotent or
         worse, so infinite order when s t is not the identity)."""
-        c = self.pair_C(s, t)
+        c = pair_C(s, t)
         if c == 0:
             return c, 2
         for p in range(3, pmax + 1):
@@ -171,38 +156,35 @@ def preset_info(name):
     return data["presets"][name]
 
 
-def _scalar_from_json(ctx, data):
+def _json_scalar(ctx, data):
     den, vec = data
     return CycloElem(ctx, vec, den)
 
 
 def preset(name):
     """Build a representation by name.  Fixed names come from presets.json;
-    parameterized families are spelled gppn:p:n, gnn3:n:k and atilde:n."""
+    parameterized families are spelled gppn:p:n, gnn3:n[:k] and atilde:n."""
     if ":" in name:
         head, *args = name.split(":")
-        args = [int(a) for a in args]
-        if head == "gppn":
-            return circuit_rep(*args)
-        if head == "atilde":
-            return affine_circuit_rep(*args)
-        if head == "gnn3":
-            return gnn3_rep(*args)
-        raise KeyError("unknown parameterized preset family %r" % (head,))
+        if head not in _FAMILIES:
+            raise KeyError("unknown parameterized preset family %r" % (head,))
+        build, arities, spelling = _FAMILIES[head]
+        if len(args) not in arities:
+            raise ValueError("%r: the family is spelled %s" % (name, spelling))
+        return build(*[int(a) for a in args])
     info = preset_info(name)
     ctx = field_ctx(info["conductor"])
     edges = {}
     for i, j, kij, kji in info["edges"]:
-        edges[(i, j)] = (_scalar_from_json(ctx, kij), _scalar_from_json(ctx, kji))
+        edges[(i, j)] = (_json_scalar(ctx, kij), _json_scalar(ctx, kji))
     spec = DiagramSpec(info["rank"], edges, conductor=info["conductor"])
     return ReflectionRep(name, spec, ctx)
 
 
 def rank3_rep(name, alpha, beta, l, m, conductor):
-    ctx = field_ctx(conductor)
-    spec = DiagramSpec(3, {(1, 2): (alpha, 1), (1, 3): (beta, 1),
-                           (2, 3): (l, m)}, conductor=conductor)
-    return ReflectionRep(name, spec, ctx)
+    spec = DiagramSpec(3, rank3_edges(alpha, beta, l, m, 1),
+                       conductor=conductor)
+    return ReflectionRep(name, spec, field_ctx(conductor))
 
 
 def circuit_rep(p, n):
@@ -246,3 +228,11 @@ def gnn3_rep(n, k=1):
     l = -1 - ctx.zeta(k)
     m = -1 - ctx.zeta(-k)
     return rank3_rep("gnn3:%d:%d" % (n, k), 1, 1, l, m, n)
+
+
+# family name -> (builder, accepted argument counts, spelling)
+_FAMILIES = {
+    "gppn": (circuit_rep, (2,), "gppn:p:n"),
+    "atilde": (affine_circuit_rep, (1,), "atilde:n"),
+    "gnn3": (gnn3_rep, (1, 2), "gnn3:n[:k]"),
+}

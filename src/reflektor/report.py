@@ -5,6 +5,8 @@ are built from whatever label tuple the caller provides, so ordering (and
 hence serialized output) is deterministic for a fixed code version.
 """
 
+import time
+
 ARTIFACT_VERSION = 1
 
 
@@ -60,3 +62,11 @@ class SuiteResult:
     def __repr__(self):
         state = "pass" if self.passed else "FAIL(%d)" % len(self.failures)
         return "<%s: %d cases, %s>" % (self.name, len(self.records), state)
+
+
+def timed(fn, *args):
+    """fn(*args), which returns a SuiteResult, with its elapsed time set."""
+    start = time.perf_counter()
+    res = fn(*args)
+    res.elapsed = time.perf_counter() - start
+    return res

@@ -2,20 +2,10 @@
 
 The whole package computes over Q (and cyclotomic extensions of Q built on
 top of it).  Python's Fraction already is a canonical exact rational, so the
-helpers here are thin: construction from ints or "num/den" text, the four
-field operations by name, and a canonical text form.
+only helper here is its canonical text form.
 """
 
 from fractions import Fraction
-
-
-def rat_make(num, den=1):
-    """Build a rational from ints, a Fraction, or a string like "-3/7"."""
-    if isinstance(num, str):
-        if den != 1:
-            raise ValueError("den is not allowed with a string argument")
-        return Fraction(num)
-    return Fraction(num, den)
 
 
 def rat_str(q):
@@ -24,18 +14,3 @@ def rat_str(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def rat_arith(op, a, b):
-    """Apply a named field operation ("add", "sub", "mul", "div")."""
-    if op not in _OPS:
-        raise ValueError("unknown operation %r" % (op,))
-    return _OPS[op](Fraction(a), Fraction(b))

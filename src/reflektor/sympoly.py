@@ -16,54 +16,34 @@ sequence per constant (the two interleaved recurrences).
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import field_ctx, root_of_v, u_value_seq, u_at
-from .matrices import SquareMat
+from .cyclo import root_of_v, u_value_seq, u_at
+from .matrices import SquareMat, pair_C
 from .mpoly import MPoly, ALPHA, BETA, GAMMA, L, M, prem
+from .reflrep import (DiagramSpec, build_generators, rank3_edges, rank3_rep,
+                      delta, theta_pair)
 from .report import SuiteResult
 from .upoly import UPoly
 
 ONE = MPoly.const(1)
 ZERO = MPoly()
 
-THETA = ALPHA + BETA + GAMMA + ALPHA * L - 4
-THETA_P = 4 - ALPHA - BETA - GAMMA - BETA * M
 # THETA_P - THETA is the degeneracy invariant delta,
 # THETA + THETA_P = alpha l - beta m.
+THETA, THETA_P = theta_pair(ALPHA, BETA, L, M)
+
+# s1, s2, s3 with symbolic edge constants (columns convention)
+GENS = tuple(build_generators(
+    DiagramSpec(3, rank3_edges(ALPHA, BETA, L, M, ONE)), ONE, ZERO))
 
 
 def _mat(rows):
     return SquareMat(rows, ONE, ZERO)
 
 
-def sym_generators():
-    """s1, s2, s3 with symbolic edge constants (columns convention)."""
-    s1 = _mat([[-ONE, ALPHA, BETA],
-               [ZERO, ONE, ZERO],
-               [ZERO, ZERO, ONE]])
-    s2 = _mat([[ONE, ZERO, ZERO],
-               [ONE, -ONE, L],
-               [ZERO, ZERO, ONE]])
-    s3 = _mat([[ONE, ZERO, ZERO],
-               [ZERO, ONE, ZERO],
-               [ONE, M, -ONE]])
-    return s1, s2, s3
-
-
 def _u_seqs(kmax):
     hi = 4 * kmax + 6
     return (u_value_seq(ALPHA, hi), u_value_seq(BETA, hi),
             u_value_seq(GAMMA, hi))
-
-
-def pair_C_sym(s, t):
-    """trace((s - 1)(t - 1)) for symbolic matrices."""
-    n = s.n
-    acc = ZERO
-    for i in range(n):
-        for j in range(n):
-            acc = acc + (s.rows[i][j] - (ONE if i == j else ZERO)) * \
-                        (t.rows[j][i] - (ONE if i == j else ZERO))
-    return acc
 
 
 # -- closed forms for (s_i s_j)^n --------------------------------------
@@ -125,7 +105,7 @@ def verify_power_formulas(kmax=6):
     """The six even/odd closed forms against incrementally computed actual
     powers, over the full signed exponent range |n| <= 2 kmax + 1."""
     res = SuiteResult("power_formulas")
-    s1, s2, s3 = sym_generators()
+    s1, s2, s3 = GENS
     uA, uB, uG = _u_seqs(kmax + 1)
     families = [
         ("s1s2", s1 * s2, pow_s1s2, uA),
@@ -208,7 +188,7 @@ def verify_reflection_formulas(kmax=6):
     """s_i (s_i s_j)^n closed forms plus the stated -1 eigenvector of each,
     over the signed range |n| <= 2 kmax + 1."""
     res = SuiteResult("reflection_formulas")
-    s1, s2, s3 = sym_generators()
+    s1, s2, s3 = GENS
     uA, uB, uG = _u_seqs(kmax + 1)
     families = [
         ("s1(s1s2)^n", s1, s1 * s2, s2 * s1, refl_s1s2, uA),
@@ -232,7 +212,7 @@ def verify_C_generic(kmax=6):
     """C(s, t) for the third reflection against translated copies of the
     other two, in product and expanded form, as polynomial identities."""
     res = SuiteResult("C_generic")
-    s1, s2, s3 = sym_generators()
+    s1, s2, s3 = GENS
     uA, uB, uG = _u_seqs(kmax + 1)
     cross = ALPHA * L + BETA * M
 
@@ -242,7 +222,7 @@ def verify_C_generic(kmax=6):
         # against s1 (s1 s2)^n, u at alpha
         u = lambda j: u_at(uA, j)
         mat, _ = refl_s1s2(k, par, uA)
-        c = pair_C_sym(s3, mat)
+        c = pair_C(s3, mat)
         if par == 0:
             prod = (u(2*k-1) + M*u(2*k)) * (ALPHA*L*u(2*k) + BETA*u(2*k-1))
             expd = ALPHA*GAMMA*u(2*k)**2 + BETA*u(2*k-1)**2 + \
@@ -257,7 +237,7 @@ def verify_C_generic(kmax=6):
         # against s1 (s1 s3)^n, u at beta
         u = lambda j: u_at(uB, j)
         mat, _ = refl_s1s3(k, par, uB)
-        c = pair_C_sym(s2, mat)
+        c = pair_C(s2, mat)
         if par == 0:
             prod = (u(2*k-1) + L*u(2*k)) * (ALPHA*u(2*k-1) + BETA*M*u(2*k))
             expd = BETA*GAMMA*u(2*k)**2 + ALPHA*u(2*k-1)**2 + \
@@ -273,7 +253,7 @@ def verify_C_generic(kmax=6):
         # against s2 (s2 s3)^n, u at gamma
         u = lambda j: u_at(uG, j)
         mat, _ = refl_s2s3(k, par, uG)
-        c = pair_C_sym(s1, mat)
+        c = pair_C(s1, mat)
         if par == 0:
             prod = None
             expd = BETA*GAMMA*u(2*k)**2 + ALPHA*u(2*k-1)**2 + \
@@ -292,7 +272,7 @@ def verify_C_conjugates():
     """C between a generator and a short conjugate of another, the nine
     product formulas (x^g means g^-1 x g)."""
     res = SuiteResult("C_conjugates")
-    s1, s2, s3 = sym_generators()
+    s1, s2, s3 = GENS
     cross = ALPHA * L + BETA * M
     u3 = lambda t: t - 1  # u_3 evaluated at the constant
 
@@ -325,7 +305,7 @@ def verify_C_conjugates():
         "s2,s3^s1": GAMMA + ALPHA * BETA + cross,
     }
     for name, s, t, expect in cases:
-        c = pair_C_sym(s, t)
+        c = pair_C(s, t)
         res.check((c - expect).is_zero(), (name,))
         if name in sums:
             res.check((c - sums[name]).is_zero(), (name, "expanded"))
@@ -334,58 +314,28 @@ def verify_C_conjugates():
 
 # -- half-turn specializations (finite even order, with denominators) --
 
-def _num_rep(alpha, beta, l, m, ctx):
-    """The three generators with concrete CycloElem entries."""
-    one, zero = ctx.one(), ctx.zero()
-
-    def el(x):
-        if isinstance(x, (int, Fraction)):
-            return ctx.from_fraction(Fraction(x))
-        return x if x.ctx.N == ctx.N else x.lift(ctx)
-
-    a, b, l, m = el(alpha), el(beta), el(l), el(m)
-    s1 = SquareMat([[-one, a, b], [zero, one, zero], [zero, zero, one]],
-                   one, zero)
-    s2 = SquareMat([[one, zero, zero], [one, -one, l], [zero, zero, one]],
-                   one, zero)
-    s3 = SquareMat([[one, zero, zero], [zero, one, zero], [one, m, -one]],
-                   one, zero)
-    return s1, s2, s3, (a, b, l, m)
-
-
-def _num_C(s, t):
-    n = s.n
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            term = (s.rows[i][j] - (1 if i == j else 0)) * \
-                   (t.rows[j][i] - (1 if i == j else 0))
-            acc = term if acc is None else acc + term
-    return acc
+def _field_rep(alpha, beta, l, m, conductor):
+    """The three generators and (alpha, beta, l, m), all over
+    Q(zeta_conductor)."""
+    rep = rank3_rep("rank3", alpha, beta, l, m, conductor)
+    return (*rep.gens, rep.edge_constants())
 
 
 _RATS = (Fraction(7, 3), Fraction(2, 5), Fraction(-3, 4))
 
 
-def _halfturn_ctx(which, order, k=1):
+def _halfturn_rep(which, order):
     """Concrete constants with one product of even order: which says where
     the v-root goes (alpha, beta or gamma); the other constants are fixed
     generic rationals."""
-    ctx = field_ctx(order)
-    root = root_of_v(order, k)
+    root = root_of_v(order)
     b0, l0, m0 = _RATS
     if which == "alpha":
-        return _num_rep(root, b0, l0, m0, ctx)
+        return _field_rep(root, b0, l0, m0, order)
     if which == "beta":
-        return _num_rep(b0, root, l0, m0, ctx)
+        return _field_rep(b0, root, l0, m0, order)
     # gamma = root: keep l rational, m = root / l
-    l = ctx.from_fraction(l0)
-    return _num_rep(b0, m0, l, root / l, ctx)
-
-
-def _delta_of(a, b, l, m):
-    g = l * m
-    return 8 - 2*a - 2*b - 2*g - (a*l + b*m)
+    return _field_rep(b0, m0, l0, root / l0, order)
 
 
 def verify_half_turns(orders=(4, 6)):
@@ -397,11 +347,10 @@ def verify_half_turns(orders=(4, 6)):
         h = order // 2
 
         # alpha at a v-root: s1 s2 has this order
-        s1, s2, s3, (a, b, l, m) = _halfturn_ctx("alpha", order)
-        ctx = a.ctx
-        one, zero = ctx.one(), ctx.zero()
+        s1, s2, s3, (a, b, l, m) = _halfturn_rep("alpha", order)
+        one, zero = s1.one, s1.zero
         g = l * m
-        d = _delta_of(a, b, l, m)
+        d = delta(a, b, l, m)
         half = (s1 * s2) ** h
         w = 4 - a
         expect = SquareMat([
@@ -414,45 +363,43 @@ def verify_half_turns(orders=(4, 6)):
             [-one, one, (2*b + a*l) / w],
             [zero, zero, one]], one, zero)
         res.check(s2 * half == expect2, ("alpha", order, "s2half"))
-        res.check(_num_C(s3, s1 * half) == 4 - b - 2 * d / w,
+        res.check(pair_C(s3, s1 * half) == 4 - b - 2 * d / w,
                   ("alpha", order, "C_s1"))
-        res.check(_num_C(s3, s2 * half) == 4 - g - 2 * d / w,
+        res.check(pair_C(s3, s2 * half) == 4 - g - 2 * d / w,
                   ("alpha", order, "C_s2"))
 
         # beta at a v-root: s1 s3 has this order
-        s1, s2, s3, (a, b, l, m) = _halfturn_ctx("beta", order)
+        s1, s2, s3, (a, b, l, m) = _halfturn_rep("beta", order)
         g = l * m
-        d = _delta_of(a, b, l, m)
+        d = delta(a, b, l, m)
         half = (s1 * s3) ** h
         w = 4 - b
-        ctx = b.ctx
-        one, zero = ctx.one(), ctx.zero()
+        one, zero = s1.one, s1.zero
         expect = SquareMat([
             [-one, 2 * (2*a + b*m) / w, zero],
             [zero, one, zero],
             [zero, 2 * (a + 2*m) / w, -one]], one, zero)
         res.check(half == expect, ("beta", order, "half"))
-        res.check(_num_C(s2, s1 * half) == 4 - a - 2 * d / w,
+        res.check(pair_C(s2, s1 * half) == 4 - a - 2 * d / w,
                   ("beta", order, "C_s1"))
-        res.check(_num_C(s2, s3 * half) == 4 - g - 2 * d / w,
+        res.check(pair_C(s2, s3 * half) == 4 - g - 2 * d / w,
                   ("beta", order, "C_s3"))
 
         # gamma at a v-root: s2 s3 has this order
-        s1, s2, s3, (a, b, l, m) = _halfturn_ctx("gamma", order)
+        s1, s2, s3, (a, b, l, m) = _halfturn_rep("gamma", order)
         g = l * m
-        d = _delta_of(a, b, l, m)
+        d = delta(a, b, l, m)
         half = (s2 * s3) ** h
         w = 4 - g
-        ctx = a.ctx
-        one, zero = ctx.one(), ctx.zero()
+        one, zero = s1.one, s1.zero
         expect = SquareMat([
             [one, zero, zero],
             [2 * (l + 2) / w, -one, zero],
             [2 * (m + 2) / w, zero, -one]], one, zero)
         res.check(half == expect, ("gamma", order, "half"))
-        res.check(_num_C(s1, s2 * half) == 4 - a - 2 * d / w,
+        res.check(pair_C(s1, s2 * half) == 4 - a - 2 * d / w,
                   ("gamma", order, "C_s2"))
-        res.check(_num_C(s1, s3 * half) == 4 - b - 2 * d / w,
+        res.check(pair_C(s1, s3 * half) == 4 - b - 2 * d / w,
                   ("gamma", order, "C_s3"))
     return res
 
@@ -465,64 +412,62 @@ def verify_half_turn_pairs(orders=(4, 6)):
     b0, l0, m0 = _RATS
     for o1 in orders:
         for o2 in orders:
-            ctx = field_ctx(lcm(o1, o2))
-            r1 = root_of_v(o1).lift(ctx)
-            r2 = root_of_v(o2).lift(ctx)
+            cond = lcm(o1, o2)
+            r1, r2 = root_of_v(o1), root_of_v(o2)
             h1, h2 = o1 // 2, o2 // 2
 
             # alpha and beta at v-roots
-            s1, s2, s3, (a, b, l, m) = _num_rep(r1, r2, l0, m0, ctx)
+            s1, s2, s3, (a, b, l, m) = _field_rep(r1, r2, l0, m0, cond)
             g = l * m
-            d = _delta_of(a, b, l, m)
+            d = delta(a, b, l, m)
             wa, wb = 4 - a, 4 - b
             p = s1 * (s1 * s2) ** h1
             q = s2 * (s1 * s2) ** h1
             x = s1 * (s1 * s3) ** h2
             y = s3 * (s1 * s3) ** h2
-            res.check(_num_C(p, x) == 4 - 8 * d / (wa * wb),
+            res.check(pair_C(p, x) == 4 - 8 * d / (wa * wb),
                       (o1, o2, "ab", "11"))
-            res.check(_num_C(p, y) == b - 2 * b * d / (wa * wb),
+            res.check(pair_C(p, y) == b - 2 * b * d / (wa * wb),
                       (o1, o2, "ab", "13"))
-            res.check(_num_C(q, x) == a - 2 * a * d / (wa * wb),
+            res.check(pair_C(q, x) == a - 2 * a * d / (wa * wb),
                       (o1, o2, "ab", "21"))
-            res.check(_num_C(q, y) == g + d * (8 - 2*a - 2*b) / (wa * wb),
+            res.check(pair_C(q, y) == g + d * (8 - 2*a - 2*b) / (wa * wb),
                       (o1, o2, "ab", "23"))
 
             # alpha and gamma at v-roots (m = gamma / l)
-            l_ = ctx.from_fraction(l0)
-            s1, s2, s3, (a, b, l, m) = _num_rep(r1, b0, l_, r2 / l_, ctx)
+            s1, s2, s3, (a, b, l, m) = _field_rep(r1, b0, l0, r2 / l0, cond)
             g = l * m
-            d = _delta_of(a, b, l, m)
+            d = delta(a, b, l, m)
             wa, wg = 4 - a, 4 - g
             p = s1 * (s1 * s2) ** h1
             q = s2 * (s1 * s2) ** h1
             x = s2 * (s2 * s3) ** h2
             y = s3 * (s2 * s3) ** h2
-            res.check(_num_C(p, x) == a - 2 * a * d / (wa * wg),
+            res.check(pair_C(p, x) == a - 2 * a * d / (wa * wg),
                       (o1, o2, "ag", "12"))
-            res.check(_num_C(p, y) == b + d * (8 - 2*a - 2*g) / (wa * wg),
+            res.check(pair_C(p, y) == b + d * (8 - 2*a - 2*g) / (wa * wg),
                       (o1, o2, "ag", "13"))
-            res.check(_num_C(q, x) == 4 - 8 * d / (wa * wg),
+            res.check(pair_C(q, x) == 4 - 8 * d / (wa * wg),
                       (o1, o2, "ag", "22"))
-            res.check(_num_C(q, y) == g - 2 * g * d / (wa * wg),
+            res.check(pair_C(q, y) == g - 2 * g * d / (wa * wg),
                       (o1, o2, "ag", "23"))
 
             # beta and gamma at v-roots
-            s1, s2, s3, (a, b, l, m) = _num_rep(b0, r1, l_, r2 / l_, ctx)
+            s1, s2, s3, (a, b, l, m) = _field_rep(b0, r1, l0, r2 / l0, cond)
             g = l * m
-            d = _delta_of(a, b, l, m)
+            d = delta(a, b, l, m)
             wb, wg = 4 - b, 4 - g
             p = s1 * (s1 * s3) ** h1
             q = s3 * (s1 * s3) ** h1
             x = s2 * (s2 * s3) ** h2
             y = s3 * (s2 * s3) ** h2
-            res.check(_num_C(p, x) == a + d * (8 - 2*b - 2*g) / (wb * wg),
+            res.check(pair_C(p, x) == a + d * (8 - 2*b - 2*g) / (wb * wg),
                       (o1, o2, "bg", "12"))
-            res.check(_num_C(p, y) == b - 2 * b * d / (wb * wg),
+            res.check(pair_C(p, y) == b - 2 * b * d / (wb * wg),
                       (o1, o2, "bg", "13"))
-            res.check(_num_C(q, x) == g - 2 * g * d / (wb * wg),
+            res.check(pair_C(q, x) == g - 2 * g * d / (wb * wg),
                       (o1, o2, "bg", "32"))
-            res.check(_num_C(q, y) == 4 - 8 * d / (wb * wg),
+            res.check(pair_C(q, y) == 4 - 8 * d / (wb * wg),
                       (o1, o2, "bg", "33"))
     return res
 
@@ -549,7 +494,7 @@ def verify_charpoly_catalog(kmax=6):
     and the conditional factorizations (delta = 0 and alpha l = beta m) via
     pseudo-remainders in m."""
     res = SuiteResult("charpoly_catalog")
-    s1, s2, s3 = sym_generators()
+    s1, s2, s3 = GENS
     uA, uB, uG = _u_seqs(kmax + 1)
     delta = THETA_P - THETA
     skew = THETA + THETA_P  # alpha l - beta m
@@ -599,11 +544,10 @@ def verify_charpoly_even_order(orders=(4, 6)):
     Checked exactly at v-roots of gamma."""
     res = SuiteResult("charpoly_even_order")
     for order in orders:
-        s1, s2, s3, (a, b, l, m) = _halfturn_ctx("gamma", order)
-        ctx = a.ctx
-        one = ctx.one()
+        s1, s2, s3, (a, b, l, m) = _halfturn_rep("gamma", order)
+        one = s1.one
         g = l * m
-        d = _delta_of(a, b, l, m)
+        d = delta(a, b, l, m)
         h = order // 2
         t = s1 * (s2 * s3) ** h
         cp = t.char_poly()
@@ -614,14 +558,12 @@ def verify_charpoly_even_order(orders=(4, 6)):
     return res
 
 
-def run_symbolic_suites(kmax=6):
-    out = []
-    out.append(verify_power_formulas(kmax))
-    out.append(verify_reflection_formulas(kmax))
-    out.append(verify_C_generic(kmax))
-    out.append(verify_C_conjugates())
-    out.append(verify_half_turns())
-    out.append(verify_half_turn_pairs())
-    out.append(verify_charpoly_catalog(kmax))
-    out.append(verify_charpoly_even_order())
-    return out
+def run_symbolic_suites(kmax):
+    """Every check of this module, as one result named section2."""
+    res = SuiteResult("section2")
+    for part in (verify_power_formulas(kmax), verify_reflection_formulas(kmax),
+                 verify_C_generic(kmax), verify_C_conjugates(),
+                 verify_half_turns(), verify_half_turn_pairs(),
+                 verify_charpoly_catalog(kmax), verify_charpoly_even_order()):
+        res.merge(part)
+    return res

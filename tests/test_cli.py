@@ -128,3 +128,42 @@ def test_parse_helpers():
     assert rhs is None
     with pytest.raises(ValueError):
         _parse_word("t1")
+
+
+def test_relation_rejects_letter_outside_rank(capsys):
+    # s0 used to wrap around to the last generator and print "holds"
+    code = main(["group", "relation", "--preset", "h3_coxeter",
+                 "--eq", "s0 s3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == "group: no generator s0 (have s1..s3)"
+
+
+BAD_INPUT = [
+    ["rep", "word", "h3_coxeter", "s1", "s9"],
+    ["group", "element-order", "--preset", "h3_coxeter", "--word", "s4"],
+    ["group", "relation", "--preset", "h3_coxeter", "--eq", "s0 s3"],
+    ["group", "relation", "--preset", "h3_coxeter", "--eq", "s1 = s5"],
+    ["rep", "preset", "gppn:3"],
+    ["group", "order", "--preset", "gppn:3"],
+    ["rep", "preset", "gnn3:4:1:1"],
+    ["rep", "delta", "h4_1"],
+    ["field", "root-of-v", "2"],
+    ["field", "root-of-v", "6", "2"],
+    ["upoly", "v", "0"],
+    ["group", "order", "--preset", "atilde:3", "--cap", "-1"],
+    ["group", "order", "--preset", "atilde:3", "--cap", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err and "Traceback" not in captured.err

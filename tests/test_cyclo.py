@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from reflektor.cyclo import (field_ctx, root_of_v, sqrt_root, named_constant,
-                             galois_norm, power_basis_coords, quad_pow,
-                             quad_pow_closed, root_identity_suite,
+from reflektor.cyclo import (field_ctx, to_field, root_of_v, sqrt_root,
+                             named_constant, galois_norm, power_basis_coords,
+                             quad_pow, quad_pow_closed, root_identity_suite,
                              norm_invertibility_suite, quad_power_suite,
                              classification_search)
 from reflektor.upoly import v_poly, u_poly, euler_phi
@@ -33,6 +33,33 @@ def test_field_ops():
     assert a * a.inverse() == 1
     assert (a - a).is_zero()
     assert ctx.from_fraction(Fraction(2, 3)) * 3 == 2
+
+
+def _tau15():
+    ctx = field_ctx(15)
+    return ctx.zeta(3) + ctx.zeta(-3) + 2
+
+
+@pytest.mark.parametrize("x, n, expect", [
+    (3, 5, lambda: field_ctx(5).from_int(3)),
+    (Fraction(-2, 3), 7, lambda: field_ctx(7).from_fraction(Fraction(-2, 3))),
+    # the same conductor keeps the element
+    (field_ctx(5).zeta(2), 5, lambda: field_ctx(5).zeta(2)),
+    # 5 | 15 lifts: 4 cos^2(pi/5) = zeta_15^3 + zeta_15^-3 + 2
+    (root_of_v(5, 1), 15, _tau15),
+    # root_of_v(4, 1) = 2 is rational, so 4 need not divide 5
+    (root_of_v(4, 1), 5, lambda: field_ctx(5).from_int(2)),
+    # an irrational element whose conductor does not divide is refused
+    (root_of_v(5, 1), 7, ValueError),
+])
+def test_to_field(x, n, expect):
+    if expect is ValueError:
+        with pytest.raises(ValueError):
+            to_field(x, field_ctx(n))
+        return
+    got = to_field(x, field_ctx(n))
+    assert got.ctx.N == n
+    assert got == expect()
 
 
 def test_root_of_v_kills_v():

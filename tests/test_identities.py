@@ -15,8 +15,9 @@ def test_catalog_is_nonempty_and_stable():
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_each_tag_passes_small_range(tag):
     rep = check_identity(tag, -8, 8)
-    assert rep.passed, rep.failures
-    assert rep.cases > 0
+    assert rep.passed, rep.records
+    # the detail counts the admissible index tuples
+    assert int(rep.records[0][2].split()[0]) > 0
 
 
 def test_unknown_tag_raises():
@@ -31,16 +32,26 @@ def test_step2_recurrence_by_hand():
 
 
 def test_report_shape():
-    rep = check_identity("A1", -3, 3)
-    d = rep.to_dict()
-    assert d["tag"] == "A1"
-    assert d["cases"] == 7
-    assert d["failures"] == []
+    d = check_identity("A1", -3, 3, "-3..3").to_dict()
+    assert d["suite_id"] == "A1"
+    assert d["cases"] == [{"case_id": "A1:-3..3", "status": "pass",
+                           "detail": "7 index tuples"}]
+
+
+def test_failing_identity_lists_its_tuples(monkeypatch):
+    # u_n = 0 holds only at n = 0
+    zero = u_poly(0)
+    monkeypatch.setitem(IDENTITIES, "ZERO", (1, lambda idx: True,
+                                             lambda n: [(u_poly(n), zero)]))
+    rep = check_identity("ZERO", -1, 1)
+    assert rep.failures == ["ZERO"]
+    assert rep.records[0][2] == "3 index tuples; failing: [(-1,), (1,)]"
 
 
 def test_check_all_returns_one_report_per_tag():
-    reps = check_all_identities(-2, 2)
-    assert [r.tag for r in reps] == list(ALL_TAGS)
+    res = check_all_identities(-2, 2, "-2..2")
+    assert res.name == "identities"
+    assert [r[0] for r in res.records] == ["%s:-2..2" % t for t in ALL_TAGS]
 
 
 def test_factorization_small():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflektor.cyclo import field_ctx, galois_norm, power_basis_coords
-from reflektor.scalars import rat_make, rat_str
+from reflektor.scalars import rat_str
 from reflektor.upoly import UPoly, u_poly
 
 rationals = st.builds(
@@ -41,7 +41,7 @@ def cyclo_elems(n):
 
 @given(rationals)
 def test_rat_str_roundtrip(q):
-    assert rat_make(rat_str(q)) == q
+    assert Fraction(rat_str(q)) == q
 
 
 @given(small_polys, small_polys, small_polys)

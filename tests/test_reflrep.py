@@ -5,6 +5,7 @@ from reflektor.reflrep import (DiagramSpec, ReflectionRep, build_generators,
                                preset, preset_names, preset_info, rank3_rep,
                                circuit_rep, affine_circuit_rep, gnn3_rep)
 from reflektor.engine import element_order
+from reflektor.matrices import pair_C
 
 
 def test_preset_catalog_loads():
@@ -34,7 +35,7 @@ def test_rank2_build_example():
     # two generators joined by a plain edge: s1 s2 has order 3
     ctx = field_ctx(1)
     spec = DiagramSpec(2, {(1, 2): (1, 1)})
-    s1, s2 = build_generators(spec, ctx)
+    s1, s2 = build_generators(spec, ctx.one(), ctx.zero())
     assert element_order(s1 * s2) == 3
 
 
@@ -54,7 +55,7 @@ def test_pair_C_rejects_non_reflection():
     rep = preset("h3_coxeter")
     prod = rep.gens[0] * rep.gens[1]
     with pytest.raises(ValueError):
-        rep.pair_C(prod, rep.gens[2])
+        pair_C(prod, rep.gens[2])
 
 
 def test_pair_C_order_reads_off_v_root():

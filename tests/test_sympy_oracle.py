@@ -27,3 +27,32 @@ def test_v_poly_is_minimal_polynomial_of_4cos2(n):
     minpoly = sympy.minimal_polynomial(4 * sympy.cos(sympy.pi / n) ** 2, x)
     lead = sympy.Poly(minpoly, x).LC()
     assert v_poly(n).coeffs == _coeffs(minpoly / lead)
+
+
+# -- SquareMat.char_poly on MPoly entries --------------------------------
+
+from reflektor.matrices import mat_word  # noqa: E402
+from reflektor.mpoly import VAR_NAMES  # noqa: E402
+from reflektor.sympoly import GENS  # noqa: E402
+
+SYMS = sympy.symbols(VAR_NAMES)
+
+
+def _to_sympy(p):
+    return sum((sympy.sympify(c) *
+                sympy.Mul(*[v ** e for v, e in zip(SYMS, exps)])
+                for exps, c in p.terms.items()), sympy.Integer(0))
+
+
+# s1, s1 s2, and s1 (s2 s3)^n for n = 1, 2, 3
+@pytest.mark.parametrize("word", [[1], [1, 2]] + [[1] + [2, 3] * n
+                                                  for n in (1, 2, 3)],
+                         ids=lambda w: "".join("s%d" % i for i in w))
+def test_char_poly_matches_sympy(word):
+    mat = mat_word(GENS, word)
+    ours = [_to_sympy(c) for c in mat.char_poly().coeffs]
+    theirs = sympy.Matrix([[_to_sympy(x) for x in row] for row in mat.rows]) \
+        .charpoly(x).all_coeffs()
+    assert len(ours) == len(theirs) == 4
+    for a, b in zip(ours, reversed(theirs)):
+        assert sympy.expand(a - b) == 0

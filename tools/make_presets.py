@@ -13,16 +13,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fractions import Fraction
-
-from reflektor.cyclo import field_ctx, named_constant
+from reflektor.cyclo import field_ctx, named_constant, to_field
 
 
 def scal(ctx, x):
-    if isinstance(x, (int, Fraction)):
-        x = ctx.from_fraction(Fraction(x))
-    elif x.ctx.N != ctx.N:
-        x = x.lift(ctx)
+    x = to_field(x, ctx)
     return [x.den, list(x.vec)]
 
 
