@@ -40,11 +40,14 @@ def _parse_range(text):
     return lo, hi
 
 
-def _positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
+def _int_at_least(lo):
+    def parse(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (lo, n))
+        return n
+    return parse
 
 
 def _parse_word(tokens):
@@ -224,6 +227,7 @@ def cmd_group(args):
                 payload["cap_exceeded"] = True
             else:
                 payload["order"] = result.order
+            payload["closure"] = result.stats
             print(json.dumps(payload))
         elif result.cap_exceeded:
             print("cap exceeded (> %d elements)" % args.cap)
@@ -270,8 +274,8 @@ def build_parser():
     p.add_argument("--profile", choices=sorted(PROFILES), default="full")
     p.add_argument("--range", type=_parse_range, default=(-30, 30),
                    metavar="LO..HI", help="index range for 'identities'")
-    p.add_argument("--max-r", type=int, default=30,
-                   help="largest index for 'roots'")
+    p.add_argument("--max-r", type=_int_at_least(3), default=30,
+                   help="largest index for 'roots' (at least 3)")
     p.add_argument("--bound", type=int, default=12,
                    help="search bound for 'classification'")
     p.add_argument("--k-range", type=_parse_range, default=(-6, 6),
@@ -301,7 +305,7 @@ def build_parser():
     gsub = p.add_subparsers(dest="op", required=True)
     q = gsub.add_parser("order")
     q.add_argument("--preset", required=True)
-    q.add_argument("--cap", type=_positive_int, default=1_000_000)
+    q.add_argument("--cap", type=_int_at_least(1), default=1_000_000)
     q.add_argument("--json", action="store_true")
     q = gsub.add_parser("element-order")
     q.add_argument("--preset", required=True)

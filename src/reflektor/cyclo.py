@@ -36,7 +36,6 @@ class FieldCtx:
         self.degree = self.phi_poly.degree
         # coefficients of Phi_N below the leading 1, used for reduction
         self._mod = self.phi_poly.coeffs[:-1]
-        self._tensor = None
 
     def reduce(self, vec):
         """Reduce an integer coefficient list mod Phi_N (synthetic division
@@ -78,20 +77,13 @@ class FieldCtx:
         vec[power] = 1
         return CycloElem(self, self.reduce(vec), 1)
 
-    def structure_tensor(self):
-        """T[a, b, :] = coefficients of z^(a+b) reduced mod Phi_N, as int64.
-        Used by the closure engine's batched multiply."""
-        if self._tensor is None:
-            import numpy as np
-            d = self.degree
-            t = np.zeros((d, d, d), dtype=np.int64)
-            for a in range(d):
-                for b in range(d):
-                    vec = [0] * (a + b + 1)
-                    vec[a + b] = 1
-                    t[a, b] = self.reduce(vec)
-            self._tensor = t
-        return self._tensor
+    def mul_columns(self, vec):
+        """Columns of the integer matrix of multiplication by the element
+        with coefficient vector vec: column b holds vec * z^b mod Phi_N."""
+        cols = [tuple(vec)]
+        for _ in range(self.degree - 1):
+            cols.append(self.reduce((0,) + cols[-1]))
+        return cols
 
     def __repr__(self):
         return "FieldCtx(%d)" % self.N
@@ -198,15 +190,10 @@ class CycloElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # den * a^(-1) with a = vec: solve M_a y = 1, where column j of the
-        # integer matrix M_a holds a * z^j reduced mod Phi_N
-        col = self.vec
-        cols = [col]
-        for _ in range(self.ctx.degree - 1):
-            col = self.ctx.reduce((0,) + col)
-            cols.append(col)
+        # den * a^(-1) with a = vec: solve M_a y = 1 for the integer
+        # multiplication matrix M_a
         one = (1,) + (0,) * (self.ctx.degree - 1)
-        sol = _solve_int(cols, one)
+        sol = _solve_int(self.ctx.mul_columns(self.vec), one)
         if sol is None:
             raise ZeroDivisionError("element is a zero divisor (conductor bug)")
         nums, det = sol

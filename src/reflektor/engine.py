@@ -1,147 +1,139 @@
 """Finite closure of matrix groups over cyclotomic fields, plus element
 diagnostics (orders, scalar powers, unipotence, relations, center).
 
-Elements are encoded as an int64 array of shape (n, n, d) holding the
-zeta-coefficients of den * M, with a single positive denominator per matrix
-and the gcd of everything equal to 1, so the byte string of the array plus
-the denominator is a canonical key.  One BFS layer is multiplied by one
-generator in a single pair of integer tensordots against the field's
-structure tensor, which is what makes the order-14400 closures cheap.
+An element x with denominator den is stored as the integer matrix den * x
+in first-column form: an int64 array of shape (n*d, n) whose column j
+stacks the zeta-coefficient vectors of the entries of column j.  The
+denominator is positive and the gcd of it and every entry is 1, so the
+denominator and the entries together are a canonical key.  A generator g
+with denominator den becomes R(g), the (n*d) x (n*d) integer matrix whose
+block (i, k) multiplies by den * g_ik on the power basis of Z[zeta_N]
+(Cohen, A Course in Computational Algebraic Number Theory, 4.2), so the
+first-column form of g*x is R(g) @ C(x).  One BFS layer times one
+generator is a single batched int64 matmul, exact because the bound on
+every partial sum is checked before it is taken.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .matrices import mat_word
 from .upoly import UPoly
 
-_MAX_ENTRY = 1 << 40  # overflow guard for the int64 tensor products
+_INT64_MAX = (1 << 63) - 1
 
 
 class ClosureResult:
     def __init__(self, order, cap_exceeded, ctx, size, elements=None,
-                 dens=None):
+                 dens=None, stats=None):
         self.order = order
         self.cap_exceeded = cap_exceeded
         self.ctx = ctx
         self.size = size
-        self.elements = elements  # (order, n, n, d) int64 array or None
+        # (order, n*d, n) int64 first-column forms and their denominators,
+        # or None
+        self.elements = elements
         self.dens = dens
+        # layers: frontiers multiplied out (for a finite group the last
+        # yields nothing new); peak_frontier: the largest of them;
+        # max_entry_bits: bit length of the largest coefficient multiplied,
+        # against an int64 budget of 63 bits
+        self.stats = stats
 
     def __repr__(self):
         tail = " (cap exceeded)" if self.cap_exceeded else ""
         return "<closure order %d%s>" % (self.order, tail)
 
 
-def _mat_to_array(mat, ctx):
-    n = mat.n
+def regular_rep(rows, ctx):
+    """(R, den, rowsum) for a matrix given by rows of CycloElem entries:
+    den is the common denominator, R the int64 regular representation of
+    den * rows, and rowsum the largest absolute row sum of R."""
     d = ctx.degree
-    den = 1
-    for row in mat.rows:
-        for x in row:
-            den = lcm(den, x.den)
-    arr = np.zeros((n, n, d), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            x = mat.rows[i][j]
-            f = den // x.den
-            arr[i, j, :] = [c * f for c in x.vec]
-    return arr, den
-
-
-def _batch_rmul(batch, dens, g_arr, g_den, tensor):
-    """(X,n,n,d) batch times one generator, gcd-normalized."""
-    if abs(int(batch.max(initial=0))) > _MAX_ENTRY or \
-            abs(int(batch.min(initial=0))) > _MAX_ENTRY:
+    den = lcm(*(x.den for row in rows for x in row))
+    big = [[0] * (len(rows) * d) for _ in range(len(rows) * d)]
+    for i, row in enumerate(rows):
+        for k, x in enumerate(row):
+            cols = ctx.mul_columns([c * (den // x.den) for c in x.vec])
+            for b, col in enumerate(cols):
+                for a, c in enumerate(col):
+                    big[i * d + a][k * d + b] = c
+    rowsum = max(sum(map(abs, r)) for r in big)
+    if rowsum > _INT64_MAX:
         raise OverflowError("closure entries grew past the int64 guard")
-    # out[x,i,j,t] = sum_k,a,b batch[x,i,k,a] g[k,j,b] T[a,b,t]
-    b = np.tensordot(batch, g_arr, axes=([2], [0]))      # (x,i,a,j,b)
-    out = np.tensordot(b, tensor, axes=([2, 4], [0, 1]))  # (x,i,j,t)
-    new_dens = dens * g_den
-    flat = np.abs(out.reshape(out.shape[0], -1))
-    g = np.gcd.reduce(flat, axis=1)
-    g = np.gcd(g, new_dens)
-    g[g == 0] = 1
-    out //= g[:, None, None, None]
-    new_dens //= g
-    return np.ascontiguousarray(out), new_dens
+    return np.array(big, dtype=np.int64), den, rowsum
 
 
-def _batch_lmul(g_arr, g_den, batch, dens, tensor):
-    b = np.tensordot(g_arr, batch, axes=([1], [1]))       # (i,a,x,j,b)
-    out = np.tensordot(b, tensor, axes=([1, 4], [0, 1]))  # (i,x,j,t)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
-    new_dens = dens * g_den
-    flat = np.abs(out.reshape(out.shape[0], -1))
-    g = np.gcd.reduce(flat, axis=1)
-    g = np.gcd(g, new_dens)
-    g[g == 0] = 1
-    out //= g[:, None, None, None]
-    return np.ascontiguousarray(out), new_dens // g
+def apply_rep(rep, batch, dens):
+    """R(g) @ batch for a (X, n*d, n) batch with denominators dens, the
+    product denominators, and max |batch|.  Raises OverflowError unless
+    max |batch| * rowsum(R) and max(dens) * den fit in int64, which
+    bounds every partial sum of the matmul, so the result is exact."""
+    mat, den, rowsum = rep
+    peak = max(int(batch.max(initial=0)), -int(batch.min(initial=0)))
+    if peak * rowsum > _INT64_MAX or int(dens.max(initial=0)) * den \
+            > _INT64_MAX:
+        raise OverflowError("closure entries grew past the int64 guard")
+    return np.matmul(mat, batch), dens * den, peak
+
+
+def _keys(batch, dens):
+    """One bytes key per element, from its row [den | entries]."""
+    rows = np.empty((len(batch), 1 + batch[0].size), dtype=np.int64)
+    rows[:, 0] = dens
+    rows[:, 1:] = batch.reshape(len(batch), -1)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))) \
+        .ravel().tolist()
 
 
 def closure(gens, cap=1_000_000, store_elements=True):
     """Breadth-first closure of the group generated by SquareMat generators
-    with CycloElem entries.  Stops once more than cap distinct elements have
-    been found, reporting cap_exceeded instead of an order."""
+    with CycloElem entries, multiplying each new layer on the left by each
+    generator.  Stops once more than cap distinct elements have been
+    found, reporting cap_exceeded instead of an order."""
     ctx = gens[0].rows[0][0].ctx
-    n = gens[0].n
-    tensor = ctx.structure_tensor()
-    garrs = [_mat_to_array(g, ctx) for g in gens]
-
-    ident = np.zeros((n, n, ctx.degree), dtype=np.int64)
-    for i in range(n):
-        ident[i, i, 0] = 1
-
-    seen = set()
-    kept_arrays = []
-    kept_dens = []
-
-    def key_of(arr, den):
-        return (int(den), arr.tobytes())
-
-    seen.add(key_of(ident, 1))
-    kept_arrays.append(ident[None, :])
-    kept_dens.append(np.array([1], dtype=np.int64))
-
-    frontier = ident[None, :]
-    frontier_dens = np.array([1], dtype=np.int64)
-
+    n, d = gens[0].n, ctx.degree
+    reps = [regular_rep(g.rows, ctx) for g in gens]
+    frontier = np.zeros((1, n * d, n), dtype=np.int64)
+    frontier[0, np.arange(n) * d, np.arange(n)] = 1
+    fdens = np.ones(1, dtype=np.int64)
+    seen = set(_keys(frontier, fdens))
+    kept = [(frontier, fdens)]
+    stats = {"layers": 0, "peak_frontier": 1, "max_entry_bits": 1}
     total = 1
     capped = False
     while len(frontier) and not capped:
-        new_arrays = []
-        new_dens = []
-        for g_arr, g_den in garrs:
-            out, dens = _batch_rmul(frontier, frontier_dens, g_arr, g_den,
-                                    tensor)
-            for idx in range(out.shape[0]):
-                k = key_of(out[idx], dens[idx])
-                if k not in seen:
-                    seen.add(k)
-                    new_arrays.append(out[idx])
-                    new_dens.append(int(dens[idx]))
-                    total += 1
+        stats["layers"] += 1
+        layer = []
+        for rep in reps:
+            out, dens, peak = apply_rep(rep, frontier, fdens)
+            stats["max_entry_bits"] = max(stats["max_entry_bits"],
+                                          peak.bit_length())
+            if dens.max() > 1:  # else every gcd with a denominator is 1
+                g = np.gcd(np.gcd.reduce(out.reshape(len(out), -1), axis=1),
+                           dens)
+                out //= g[:, None, None]
+                dens //= g
+            # k in seen or seen.add(k) is falsy exactly for a key not seen
+            # before, and adds it, so repeats within the batch drop too
+            fresh = [i for i, k in enumerate(_keys(out, dens))
+                     if not (k in seen or seen.add(k))]
+            layer.append((out[fresh], dens[fresh]))
+            total += len(fresh)
             if total > cap:
                 capped = True
                 break
-        if new_arrays and not capped:
-            frontier = np.stack(new_arrays)
-            frontier_dens = np.array(new_dens, dtype=np.int64)
-            kept_arrays.append(frontier)
-            kept_dens.append(frontier_dens)
-        elif capped or not new_arrays:
-            frontier = np.empty((0, n, n, ctx.degree), dtype=np.int64)
-            frontier_dens = np.empty((0,), dtype=np.int64)
-
-    if capped:
-        return ClosureResult(total, True, ctx, n)
-    if store_elements:
-        return ClosureResult(total, False, ctx, n,
-                             elements=np.concatenate(kept_arrays),
-                             dens=np.concatenate(kept_dens))
-    return ClosureResult(total, False, ctx, n)
+        frontier = np.concatenate([a for a, _ in layer])
+        fdens = np.concatenate([b for _, b in layer])
+        stats["peak_frontier"] = max(stats["peak_frontier"], len(frontier))
+        if store_elements:
+            kept.append((frontier, fdens))
+    if capped or not store_elements:
+        return ClosureResult(total, capped, ctx, n, stats=stats)
+    return ClosureResult(total, False, ctx, n,
+                         np.concatenate([a for a, _ in kept]),
+                         np.concatenate([b for _, b in kept]), stats)
 
 
 def closure_keys(gens, cap=1_000_000):
@@ -196,21 +188,24 @@ def conjugate(gens, i, word):
 
 
 def center_order(result, gens):
-    """Size of the centralizer of the generators inside a stored closure."""
+    """Size of the centralizer of the generators inside a stored closure.
+    x commutes with g when C(g x) = R(g) C(x) is the transpose of
+    C((x g)^T) = R(g^T) C(x^T); both products have the denominator
+    den(x) den(g), so their numerators are compared as they come out."""
     if result.elements is None:
         raise ValueError("closure was run without element storage")
-    ctx = result.ctx
-    tensor = ctx.structure_tensor()
-    mask = np.ones(len(result.elements), dtype=bool)
+    ctx, n = result.ctx, result.size
+    shape = (-1, n, ctx.degree, n)  # [x, i, a, j]: coefficient a of x_ij
+    x, dens = result.elements, result.dens
     for g in gens:
-        g_arr, g_den = _mat_to_array(g, ctx)
-        right, rd = _batch_rmul(result.elements, result.dens, g_arr, g_den,
-                                tensor)
-        left, ld = _batch_lmul(g_arr, g_den, result.elements, result.dens,
-                               tensor)
-        same = np.all(right == left, axis=(1, 2, 3)) & (rd == ld)
-        mask &= same
-    return int(mask.sum())
+        xt = x.reshape(shape).transpose(0, 3, 2, 1).reshape(x.shape)
+        left = apply_rep(regular_rep(g.rows, ctx), x, dens)[0]
+        right = apply_rep(regular_rep(list(zip(*g.rows)), ctx), xt, dens)[0]
+        same = np.all(left.reshape(shape)
+                      == right.reshape(shape).transpose(0, 3, 2, 1),
+                      axis=(1, 2, 3))
+        x, dens = x[same], dens[same]
+    return len(x)
 
 
 def monomial_group_order(p, n):

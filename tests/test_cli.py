@@ -59,6 +59,22 @@ def test_verify_quick_profile_skips_large_groups(capsys):
     assert all(c["status"] == "skipped" for c in payload[0]["cases"])
 
 
+def test_classification_without_frozen_answer_is_skipped(capsys):
+    # bound 5 has no frozen answer, so nothing is compared and no case passes
+    code, out = run(capsys, "verify", "classification", "--bound", "5",
+                    "--json")
+    assert code == 0
+    cases = json.loads(out)[0]["cases"]
+    assert [c["case_id"] for c in cases] == ["product:5", "sum:5",
+                                             "skipped:5"]
+    assert all(c["status"] == "skipped" for c in cases)
+    assert all(c["detail"].startswith("found ") for c in cases)
+    code, out = run(capsys, "verify", "classification", "--bound", "8",
+                    "--json")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)[0]["cases"])
+
+
 def test_verify_identities_range(capsys):
     code, out = run(capsys, "verify", "identities", "--range", "-5..5")
     assert code == 0
@@ -90,13 +106,21 @@ def test_group_order_json(capsys):
     payload = json.loads(out)
     assert payload["preset"] == "gppn:3:3"
     assert payload["order"] == 54
+    # G(3,3,3): words of length up to 6, so 7 frontiers multiplied out, the
+    # largest of 15 elements; coefficients are 0 and +-1
+    assert payload["closure"] == {"layers": 7, "peak_frontier": 15,
+                                  "max_entry_bits": 1}
 
 
 def test_group_order_cap(capsys):
     code, out = run(capsys, "group", "order", "--preset", "atilde:3",
                     "--cap", "200", "--json")
     assert code == 0
-    assert json.loads(out)["cap_exceeded"] is True
+    payload = json.loads(out)
+    assert payload["cap_exceeded"] is True
+    stats = payload["closure"]
+    assert set(stats) == {"layers", "peak_frontier", "max_entry_bits"}
+    assert 1 <= stats["max_entry_bits"] <= 63
 
 
 def test_group_element_order(capsys):
@@ -154,6 +178,7 @@ BAD_INPUT = [
     ["upoly", "v", "0"],
     ["group", "order", "--preset", "atilde:3", "--cap", "-1"],
     ["group", "order", "--preset", "atilde:3", "--cap", "0"],
+    ["verify", "roots", "--max-r", "2"],
 ]
 
 

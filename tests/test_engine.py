@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from reflektor.engine import (closure, closure_keys, element_order,
@@ -73,9 +75,10 @@ def test_conjugate_convention():
 
 
 def test_center_order():
-    rep = preset("h3_coxeter")
-    res = closure(rep.gens)
-    assert center_order(res, rep.gens) == 2
+    for name, center in [("h3_coxeter", 2), ("g24_334", 2), ("g27_a", 6)]:
+        rep = preset(name)
+        res = closure(rep.gens)
+        assert center_order(res, rep.gens) == center, name
 
 
 def test_center_needs_stored_elements():
@@ -91,3 +94,16 @@ def test_monomial_group_order():
     assert monomial_group_order(4, 3) == 96
     assert monomial_group_order(2, 4) == 192
     assert monomial_group_order(3, 4) == 648
+
+
+MONOMIAL_CASES = [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("p,n", MONOMIAL_CASES)
+def test_gppn_closure_matches_monomial_model(p, n):
+    # the closure kernel against the independent monomial enumeration, and
+    # the center of G(p,p,n) against its closed form gcd(p, n)
+    rep = preset("gppn:%d:%d" % (p, n))
+    res = closure(rep.gens)
+    assert res.order == monomial_group_order(p, n)
+    assert center_order(res, rep.gens) == gcd(p, n)

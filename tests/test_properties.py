@@ -1,11 +1,17 @@
 """Property-based checks for the arithmetic layers."""
 
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from reflektor.cyclo import field_ctx, galois_norm, power_basis_coords
+from reflektor.cyclo import (CycloElem, field_ctx, galois_norm,
+                             power_basis_coords)
+from reflektor.engine import apply_rep, closure, regular_rep
+from reflektor.matrices import SquareMat
+from reflektor.reflrep import preset, rank3_rep
 from reflektor.scalars import rat_str
 from reflektor.upoly import UPoly, u_poly
 
@@ -234,3 +240,172 @@ def test_power_basis_coords_matches_gauss_jordan(pair, data):
     for c in got:
         acc, p = acc + p * c, p * gen
     assert acc == y
+
+
+# -- closure kernel: R(g) @ batch against Python ints ---------------------
+
+INT64_MAX = (1 << 63) - 1
+
+
+def _entry(col, a, d):
+    return [int(c) for c in col[a * d:(a + 1) * d]]
+
+
+def _reference_products(rows, batch):
+    """den(g) * g * x for each x of a (X, n*d, n) integer batch, in Python
+    ints through CycloElem products, in the same first-column layout."""
+    ctx = rows[0][0].ctx
+    n, d = len(rows), ctx.degree
+    den = lcm(*(x.den for row in rows for x in row))
+    out = []
+    for x in batch:
+        xs = [[CycloElem(ctx, _entry(x[:, j], k, d)) for j in range(n)]
+              for k in range(n)]
+        col = [[0] * n for _ in range(n * d)]
+        for i in range(n):
+            for j in range(n):
+                acc = ctx.zero()
+                for k in range(n):
+                    acc = acc + rows[i][k] * den * xs[k][j]
+                assert acc.den == 1
+                for a, c in enumerate(acc.vec):
+                    col[i * d + a][j] = c
+        out.append(col)
+    return out
+
+
+def _peak(batch):
+    return max(abs(int(c)) for c in batch.ravel())
+
+
+def kernel_cases(n_cond):
+    """(rows, batch): an n x n generator over Q(zeta_N) and a random batch
+    whose largest entry is the largest the guard lets through, or one
+    more."""
+    n, cond = n_cond
+    ctx = field_ctx(cond)
+    m = n * ctx.degree
+
+    def build(entries, cells, over):
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        rowsum = regular_rep(rows, ctx)[2]
+        peak = min(INT64_MAX // max(rowsum, 1) + over, INT64_MAX)
+        batch = np.array([[[peak * f // 1000 for f in row] for row in x]
+                          for x in cells], dtype=np.int64)
+        batch.flat[0] = peak
+        return rows, batch
+
+    cell_rows = st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)
+    return st.builds(
+        build,
+        st.lists(cyclo_elems(cond), min_size=n * n, max_size=n * n),
+        st.lists(st.lists(cell_rows, min_size=m, max_size=m),
+                 min_size=1, max_size=3),
+        st.sampled_from([0, 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 5), (3, 7), (3, 12)])
+       .flatmap(kernel_cases))
+def test_kernel_step_is_exact_or_raises(case):
+    rows, batch = case
+    rep = regular_rep(rows, rows[0][0].ctx)
+    dens = np.arange(1, len(batch) + 1, dtype=np.int64)
+    within = _peak(batch) * rep[2] <= INT64_MAX
+    try:
+        out, out_dens, peak = apply_rep(rep, batch, dens)
+    except OverflowError:
+        assert not within
+        return
+    assert within
+    assert peak == _peak(batch)
+    assert out.tolist() == _reference_products(rows, batch)
+    assert out_dens.tolist() == [int(x) * rep[1] for x in dens]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(cyclo_elems(5), min_size=4, max_size=4),
+       st.sampled_from([0, 1]))
+def test_kernel_step_at_the_bound(entries, over):
+    # a column aligned with the signs of R's heaviest row reaches
+    # peak * rowsum exactly: the largest value passes exactly, one more
+    # step of peak would wrap and raises instead
+    ctx = field_ctx(5)
+    rows = [entries[:2], entries[2:]]
+    rep = regular_rep(rows, ctx)
+    mat, den, rowsum = rep
+    assume(rowsum > 1)
+    r = max(range(len(mat)), key=lambda i: int(np.abs(mat[i]).sum()))
+    peak = INT64_MAX // rowsum + over
+    col = [peak * (1 if c >= 0 else -1) for c in mat[r].tolist()]
+    batch = np.array([[[c, 0] for c in col]], dtype=np.int64)
+    true = sum(int(a) * b for a, b in zip(mat[r].tolist(), col))
+    assert true == peak * rowsum
+    one = np.ones(1, dtype=np.int64)
+    if over:
+        with pytest.raises(OverflowError):
+            apply_rep(rep, batch, one)
+    else:
+        out = apply_rep(rep, batch, one)[0]
+        assert int(out[0, r, 0]) == true
+        assert out.tolist() == _reference_products(rows, batch)
+
+
+def test_kernel_guards_the_denominator():
+    ctx = field_ctx(5)
+    half = ctx.from_fraction(Fraction(1, 2))
+    rep = regular_rep([[half, ctx.zero()], [ctx.zero(), ctx.one()]], ctx)
+    batch = np.zeros((1, 8, 2), dtype=np.int64)
+    top = np.array([INT64_MAX // 2], dtype=np.int64)
+    assert apply_rep(rep, batch, top)[1].tolist() == [INT64_MAX // 2 * 2]
+    with pytest.raises(OverflowError):
+        apply_rep(rep, batch, top + 1)
+
+
+def test_demonstrated_int64_wrap_now_raises():
+    # batch entries 2^40 - 1 passed the old guard (|batch| <= 2^40); times
+    # a generator row (2^24, 1) the true entry (2^40 - 1)(2^24 + 1) =
+    # 18446745173204402175 wraps in int64 to 1099494850559
+    ctx = field_ctx(1)
+    rows = [[ctx.from_int(1 << 24), ctx.one()], [ctx.zero(), ctx.one()]]
+    rep = regular_rep(rows, ctx)
+    batch = np.full((1, 2, 2), (1 << 40) - 1, dtype=np.int64)
+    assert int(np.matmul(rep[0], batch)[0, 0, 0]) == 1099494850559
+    assert _reference_products(rows, batch)[0][0][0] == 18446745173204402175
+    with pytest.raises(OverflowError):
+        apply_rep(rep, batch, np.ones(1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("weight", [16, 40])
+def test_rank3_growth_reports_cap(weight):
+    rep = rank3_rep("grow:%d" % weight, weight, weight, weight, weight, 1)
+    res = closure(rep.gens, cap=4000, store_elements=False)
+    assert res.cap_exceeded
+    assert res.stats["max_entry_bits"] <= 63
+
+
+def test_rank3_growth_uncapped_raises():
+    rep = rank3_rep("grow:40", 40, 40, 40, 40, 1)
+    with pytest.raises(OverflowError):
+        closure(rep.gens, store_elements=False)
+
+
+@pytest.mark.parametrize("name", ["h3_coxeter", "g24_443"])
+def test_closure_elements_match_matrix_bfs(name):
+    # the stored first-column forms, read back as matrices, are exactly
+    # the group that SquareMat products generate
+    rep = preset(name)
+    ctx, n, d = rep.ctx, rep.rank, rep.ctx.degree
+    res = closure(rep.gens)
+    got = {SquareMat([[CycloElem(ctx, _entry(x[:, j], i, d), int(den))
+                       for j in range(n)] for i in range(n)],
+                     ctx.one(), ctx.zero())
+           for x, den in zip(res.elements, res.dens)}
+    ident = SquareMat.identity(n, ctx.one(), ctx.zero())
+    want, layer = {ident}, [ident]
+    while layer:
+        layer = [g * x for x in layer for g in rep.gens]
+        layer = [y for y in set(layer) if y not in want]
+        want.update(layer)
+    assert len(got) == res.order == len(want)
+    assert got == want
