@@ -10,8 +10,15 @@ with denominator den becomes R(g), the (n*d) x (n*d) integer matrix whose
 block (i, k) multiplies by den * g_ik on the power basis of Z[zeta_N]
 (Cohen, A Course in Computational Algebraic Number Theory, 4.2), so the
 first-column form of g*x is R(g) @ C(x).  One BFS layer times one
-generator is a single batched int64 matmul, exact because the bound on
-every partial sum is checked before it is taken.
+generator is a single batched matmul, exact because a bound on every
+partial sum is checked before it is taken.  With peak = max |C(x)| and
+rowsum the largest absolute row sum of R(g), every product and partial sum
+is an integer of magnitude at most peak * rowsum.  Up to 2^53 the matmul
+runs in float64 (BLAS), where such integers are exact whatever the order
+of summation; up to 2^63 - 1 it falls back to int64; past that it raises
+OverflowError.  Dedup keys are the bytes of the row [den | entries], as
+int8 when every value of the row fits in one byte, else as int64; the
+width depends on the row alone, so an element always has the same key.
 """
 
 from math import lcm
@@ -22,6 +29,7 @@ from .matrices import mat_word
 from .upoly import UPoly
 
 _INT64_MAX = (1 << 63) - 1
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here exactly
 
 
 class ClosureResult:
@@ -38,7 +46,8 @@ class ClosureResult:
         # layers: frontiers multiplied out (for a finite group the last
         # yields nothing new); peak_frontier: the largest of them;
         # max_entry_bits: bit length of the largest coefficient multiplied,
-        # against an int64 budget of 63 bits
+        # against an int64 budget of 63 bits; int64_steps: generator steps
+        # past the float64 bound that took the int64 matmul
         self.stats = stats
 
     def __repr__(self):
@@ -65,26 +74,50 @@ def regular_rep(rows, ctx):
     return np.array(big, dtype=np.int64), den, rowsum
 
 
-def apply_rep(rep, batch, dens):
+def _peak(batch):
+    return max(int(batch.max(initial=0)), -int(batch.min(initial=0)))
+
+
+def apply_rep(rep, batch, dens, peak=None, fbatch=None):
     """R(g) @ batch for a (X, n*d, n) batch with denominators dens, the
     product denominators, and max |batch|.  Raises OverflowError unless
     max |batch| * rowsum(R) and max(dens) * den fit in int64, which
-    bounds every partial sum of the matmul, so the result is exact."""
+    bounds every partial sum of the matmul, so the result is exact; below
+    2^53 the product is taken in float64.  A caller multiplying one batch
+    by several generators may pass its peak and float64 copy."""
     mat, den, rowsum = rep
-    peak = max(int(batch.max(initial=0)), -int(batch.min(initial=0)))
+    if peak is None:
+        peak = _peak(batch)
     if peak * rowsum > _INT64_MAX or int(dens.max(initial=0)) * den \
             > _INT64_MAX:
         raise OverflowError("closure entries grew past the int64 guard")
-    return np.matmul(mat, batch), dens * den, peak
+    if peak * rowsum > _FLOAT_EXACT:
+        return np.matmul(mat, batch), dens * den, peak
+    if fbatch is None:
+        fbatch = batch.astype(np.float64)
+    out = np.matmul(mat.astype(np.float64), fbatch).astype(np.int64)
+    return out, dens * den, peak
+
+
+def _void_rows(rows):
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))) \
+        .ravel().tolist()
 
 
 def _keys(batch, dens):
-    """One bytes key per element, from its row [den | entries]."""
+    """One bytes key per element, from its row [den | entries]: int8 bytes
+    when every value of the row fits in int8, else int64 bytes.  The two
+    widths differ in length, so keys of different widths never collide."""
     rows = np.empty((len(batch), 1 + batch[0].size), dtype=np.int64)
     rows[:, 0] = dens
     rows[:, 1:] = batch.reshape(len(batch), -1)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))) \
-        .ravel().tolist()
+    if rows.min() >= -128 and rows.max() <= 127:
+        return _void_rows(rows.astype(np.int8))
+    keys = _void_rows(rows)
+    small = np.flatnonzero(np.all((rows >= -128) & (rows <= 127), axis=1))
+    for i, k in zip(small.tolist(), _void_rows(rows[small].astype(np.int8))):
+        keys[i] = k
+    return keys
 
 
 def closure(gens, cap=1_000_000, store_elements=True):
@@ -100,16 +133,20 @@ def closure(gens, cap=1_000_000, store_elements=True):
     fdens = np.ones(1, dtype=np.int64)
     seen = set(_keys(frontier, fdens))
     kept = [(frontier, fdens)]
-    stats = {"layers": 0, "peak_frontier": 1, "max_entry_bits": 1}
+    stats = {"layers": 0, "peak_frontier": 1, "max_entry_bits": 1,
+             "int64_steps": 0}
     total = 1
     capped = False
     while len(frontier) and not capped:
         stats["layers"] += 1
+        peak = _peak(frontier)
+        stats["max_entry_bits"] = max(stats["max_entry_bits"],
+                                      peak.bit_length())
+        fbatch = frontier.astype(np.float64)
         layer = []
         for rep in reps:
-            out, dens, peak = apply_rep(rep, frontier, fdens)
-            stats["max_entry_bits"] = max(stats["max_entry_bits"],
-                                          peak.bit_length())
+            out, dens, _ = apply_rep(rep, frontier, fdens, peak, fbatch)
+            stats["int64_steps"] += peak * rep[2] > _FLOAT_EXACT
             if dens.max() > 1:  # else every gcd with a denominator is 1
                 g = np.gcd(np.gcd.reduce(out.reshape(len(out), -1), axis=1),
                            dens)
@@ -192,6 +229,9 @@ def center_order(result, gens):
     x commutes with g when C(g x) = R(g) C(x) is the transpose of
     C((x g)^T) = R(g^T) C(x^T); both products have the denominator
     den(x) den(g), so their numerators are compared as they come out."""
+    if result.cap_exceeded:
+        raise ValueError("closure stopped at its cap; the center needs "
+                         "the whole group")
     if result.elements is None:
         raise ValueError("closure was run without element storage")
     ctx, n = result.ctx, result.size
@@ -199,8 +239,10 @@ def center_order(result, gens):
     x, dens = result.elements, result.dens
     for g in gens:
         xt = x.reshape(shape).transpose(0, 3, 2, 1).reshape(x.shape)
-        left = apply_rep(regular_rep(g.rows, ctx), x, dens)[0]
-        right = apply_rep(regular_rep(list(zip(*g.rows)), ctx), xt, dens)[0]
+        peak = _peak(x)
+        left = apply_rep(regular_rep(g.rows, ctx), x, dens, peak)[0]
+        right = apply_rep(regular_rep(list(zip(*g.rows)), ctx), xt, dens,
+                          peak)[0]
         same = np.all(left.reshape(shape)
                       == right.reshape(shape).transpose(0, 3, 2, 1),
                       axis=(1, 2, 3))

@@ -24,6 +24,14 @@ def _norm_coeff(c):
     return c
 
 
+def _rational(c):
+    try:
+        return Fraction(c)
+    except TypeError:
+        raise TypeError("UPoly division needs rational coefficients, not %s"
+                        % type(c).__name__) from None
+
+
 class UPoly:
     __slots__ = ("coeffs",)
 
@@ -126,15 +134,16 @@ class UPoly:
                 and _all_int(self.coeffs):
             q, r = _int_divmod(self.coeffs, other.coeffs)
             return UPoly(q), UPoly(r)
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(other.leading())
+        rem = [_rational(c) for c in self.coeffs]
+        div = [_rational(c) for c in other.coeffs]
+        lead = div[-1]
         dn = other.degree
         quo = [Fraction(0)] * max(len(rem) - dn, 0)
         for i in range(len(rem) - 1 - dn, -1, -1):
             c = rem[i + dn] / lead
             if c:
                 quo[i] = c
-                for j, oc in enumerate(other.coeffs):
+                for j, oc in enumerate(div):
                     rem[i + j] -= c * oc
         return UPoly(quo), UPoly(rem[:dn] if dn > 0 else [])
 

@@ -109,7 +109,7 @@ def test_group_order_json(capsys):
     # G(3,3,3): words of length up to 6, so 7 frontiers multiplied out, the
     # largest of 15 elements; coefficients are 0 and +-1
     assert payload["closure"] == {"layers": 7, "peak_frontier": 15,
-                                  "max_entry_bits": 1}
+                                  "max_entry_bits": 1, "int64_steps": 0}
 
 
 def test_group_order_cap(capsys):
@@ -119,7 +119,8 @@ def test_group_order_cap(capsys):
     payload = json.loads(out)
     assert payload["cap_exceeded"] is True
     stats = payload["closure"]
-    assert set(stats) == {"layers", "peak_frontier", "max_entry_bits"}
+    assert set(stats) == {"layers", "peak_frontier", "max_entry_bits",
+                          "int64_steps"}
     assert 1 <= stats["max_entry_bits"] <= 63
 
 

@@ -84,7 +84,15 @@ def test_center_order():
 def test_center_needs_stored_elements():
     rep = circuit_rep(2, 3)
     res = closure(rep.gens, store_elements=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="without element storage"):
+        center_order(res, rep.gens)
+
+
+def test_center_of_capped_closure_names_the_cap():
+    rep = preset("h3_coxeter")
+    res = closure(rep.gens, cap=10)
+    assert res.cap_exceeded
+    with pytest.raises(ValueError, match="stopped at its cap"):
         center_order(res, rep.gens)
 
 

@@ -1,5 +1,6 @@
 """Property-based checks for the arithmetic layers."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
@@ -9,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reflektor.cyclo import (CycloElem, field_ctx, galois_norm,
                              power_basis_coords)
-from reflektor.engine import apply_rep, closure, regular_rep
+from reflektor.engine import _keys, apply_rep, closure, regular_rep
 from reflektor.matrices import SquareMat
+from reflektor.mpoly import MPoly
 from reflektor.reflrep import preset, rank3_rep
 from reflektor.scalars import rat_str
 from reflektor.upoly import UPoly, u_poly
@@ -154,10 +156,13 @@ def test_fraction_operands_keep_fraction_path(a, low, lead):
 
 def test_cyclo_coefficients_are_still_refused():
     ctx = field_ctx(5)
-    with pytest.raises(TypeError):
+    refused = "UPoly division needs rational coefficients, not CycloElem"
+    with pytest.raises(TypeError, match=refused):
         divmod(UPoly([ctx.zeta(1), ctx.one()]), UPoly([1, 1]))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=refused):
         divmod(UPoly([1, 2, 3]), UPoly([ctx.zeta(1), ctx.one()]))
+    with pytest.raises(TypeError, match="rational coefficients, not MPoly"):
+        divmod(UPoly([MPoly.var(0), 1]), UPoly([1, 1]))
 
 
 # -- fraction-free solver: inverse and power-basis coordinates -----------
@@ -409,3 +414,135 @@ def test_closure_elements_match_matrix_bfs(name):
         want.update(layer)
     assert len(got) == res.order == len(want)
     assert got == want
+
+
+# -- float64 step under 2^53, int64 fallback above it ---------------------
+
+FLOAT_EXACT = 1 << 53
+
+
+@contextmanager
+def _matmul_dtypes():
+    """The dtype of the right operand of every np.matmul taken inside:
+    float64 for the BLAS step, int64 for the fallback."""
+    seen, real = [], np.matmul
+    np.matmul = lambda a, b: seen.append(b.dtype) or real(a, b)
+    try:
+        yield seen
+    finally:
+        np.matmul = real
+
+
+def _heaviest_row(mat):
+    return max(range(len(mat)), key=lambda i: int(np.abs(mat[i]).sum()))
+
+
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize("name, letter", [("h3_coxeter", 1), ("h4_1", 0),
+                                          ("gppn:3:3", 0)])
+def test_float_step_at_2_53(name, letter, over):
+    # rowsum is a power of two here, so a column aligned with the signs of
+    # R's heaviest row reaches peak * rowsum = 2^53 exactly and takes the
+    # float64 step; one step of peak further it takes the int64 one
+    rep = preset(name)
+    rows = rep.gens[letter].rows
+    mat, den, rowsum = kernel = regular_rep(rows, rep.ctx)
+    assert FLOAT_EXACT % rowsum == 0
+    r = _heaviest_row(mat)
+    peak = FLOAT_EXACT // rowsum + over
+    col = [peak * (1 if c >= 0 else -1) for c in mat[r].tolist()]
+    batch = np.zeros((1, len(mat), rep.rank), dtype=np.int64)
+    batch[0, :, 0] = col
+    with _matmul_dtypes() as dtypes:
+        out = apply_rep(kernel, batch, np.ones(1, dtype=np.int64))[0]
+    assert dtypes == [np.dtype(np.int64 if over else np.float64)]
+    assert int(out[0, r, 0]) == peak * rowsum
+    assert out.tolist() == _reference_products(rows, batch)
+
+
+def float_bound_cases(n_cond):
+    """(rows, batch, side): a random generator and a batch whose peak is
+    at 2^53 / rowsum (side 0), one past it (1) or twice it (2).  Column 0
+    of the first element follows the signs of R's heaviest row, shaved by
+    up to 1000 per entry, so its true value lies near peak * rowsum and is
+    odd about half the time; past 2^53 a float64 product would round it."""
+    n, cond = n_cond
+    ctx = field_ctx(cond)
+    m = n * ctx.degree
+
+    def build(entries, cells, shave, side):
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        mat, _, rowsum = regular_rep(rows, ctx)
+        base = FLOAT_EXACT // max(rowsum, 1)
+        peak = [base, base + 1, 2 * base][side]
+        batch = np.array([[[peak * f // 1000 for f in row] for row in x]
+                          for x in cells], dtype=np.int64)
+        r = _heaviest_row(mat)
+        for c, cut in enumerate([0] + shave):
+            batch[0, c, 0] = (peak - cut) * (1 if mat[r, c] >= 0 else -1)
+        return rows, batch, side
+
+    cell_rows = st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)
+    return st.builds(
+        build,
+        st.lists(cyclo_elems(cond), min_size=n * n, max_size=n * n),
+        st.lists(st.lists(cell_rows, min_size=m, max_size=m),
+                 min_size=1, max_size=3),
+        st.lists(st.integers(0, 1000), min_size=m - 1, max_size=m - 1),
+        st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 5), (3, 7), (3, 12)])
+       .flatmap(float_bound_cases))
+def test_float_step_either_side_of_2_53(case):
+    rows, batch, side = case
+    kernel = regular_rep(rows, rows[0][0].ctx)
+    assume(kernel[2] > 0)
+    with _matmul_dtypes() as dtypes:
+        out = apply_rep(kernel, batch, np.ones(len(batch), dtype=np.int64))
+    assert out[2] == _peak(batch)
+    assert dtypes == [np.dtype(np.float64 if side == 0 else np.int64)]
+    assert out[0].tolist() == _reference_products(rows, batch)
+
+
+def _key_lengths(values, dens):
+    batch = np.array(values, dtype=np.int64).reshape(len(values), -1, 1)
+    return [len(k) for k in _keys(batch, np.array(dens, dtype=np.int64))]
+
+
+def test_keys_are_one_byte_exactly_when_the_row_fits_int8():
+    # a row [den | entries] of L values has an L-byte key when every value
+    # fits in int8, else an 8L-byte one
+    assert _key_lengths([[127, -128]], [1]) == [3]
+    assert _key_lengths([[128, -128]], [1]) == [24]
+    assert _key_lengths([[127, -129]], [1]) == [24]
+    assert _key_lengths([[0, 1]], [127]) == [3]
+    assert _key_lengths([[0, 1]], [128]) == [24]
+    assert _key_lengths([[127, -128], [128, 0], [0, 1]], [1, 1, 128]) \
+        == [3, 24, 24]
+
+
+def test_key_of_an_element_does_not_depend_on_its_batch():
+    small = np.array([[[3], [-1]], [[0], [127]]], dtype=np.int64)
+    big = np.array([[[1 << 40], [5]]], dtype=np.int64)
+    ones = np.ones(2, dtype=np.int64)
+    alone = _keys(small, ones)
+    mixed = _keys(np.concatenate([big, small]), np.ones(3, dtype=np.int64))
+    assert mixed[1:] == alone
+    assert alone[0] == np.array([1, 3, -1], dtype=np.int8).tobytes()
+    assert mixed[0] == np.array([1, 1 << 40, 5], dtype=np.int64).tobytes()
+    assert len(set(mixed)) == 3
+
+
+@pytest.mark.parametrize("weight, steps", [(16, 0), (40, 4)])
+def test_int64_steps_count_the_fallback(weight, steps):
+    rep = rank3_rep("grow:%d" % weight, weight, weight, weight, weight, 1)
+    res = closure(rep.gens, cap=4000, store_elements=False)
+    assert res.stats["int64_steps"] == steps
+
+
+@pytest.mark.parametrize("name", ["h3_coxeter", "g24_443", "g27_a",
+                                  "gppn:4:4"])
+def test_finite_presets_take_only_float_steps(name):
+    assert closure(preset(name).gens).stats["int64_steps"] == 0
