@@ -145,8 +145,7 @@ def cmd_verify(args):
     elif args.target == "classification":
         reports = [timed(classification_cases, "classification", args.bound)]
     elif args.target == "section2":
-        lo, hi = args.k_range
-        reports = [timed(run_symbolic_suites, max(abs(lo), abs(hi)))]
+        reports = [timed(run_symbolic_suites, args.kmax)]
     elif args.target in SUITE_ORDER:
         reports = [run_suite(args.target, args.profile)]
     else:
@@ -276,10 +275,10 @@ def build_parser():
                    metavar="LO..HI", help="index range for 'identities'")
     p.add_argument("--max-r", type=_int_at_least(3), default=30,
                    help="largest index for 'roots' (at least 3)")
-    p.add_argument("--bound", type=int, default=12,
-                   help="search bound for 'classification'")
-    p.add_argument("--k-range", type=_parse_range, default=(-6, 6),
-                   metavar="LO..HI", help="exponent range for 'section2'")
+    p.add_argument("--bound", type=_int_at_least(3), default=12,
+                   help="search bound for 'classification' (at least 3)")
+    p.add_argument("--kmax", type=_int_at_least(0), default=6,
+                   help="'section2' checks exponents |n| <= 2 kmax + 1")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("field", help="cyclotomic field values")
@@ -325,7 +324,7 @@ def main(argv=None):
     glued = []
     i = 0
     while i < len(argv):
-        if argv[i] in ("--range", "--k-range") and i + 1 < len(argv):
+        if argv[i] == "--range" and i + 1 < len(argv):
             glued.append(argv[i] + "=" + argv[i + 1])
             i += 2
         else:

@@ -335,7 +335,7 @@ def named_constant(name, n):
 def u_value_seq(gamma, hi):
     """u_0(gamma) .. u_hi(gamma) by the two interleaved recurrences
     (one multiplication per odd step)."""
-    one = gamma.ctx.one() if isinstance(gamma, CycloElem) else Fraction(1)
+    one = gamma.ctx.one() if isinstance(gamma, CycloElem) else 1
     zero = one - one
     seq = [zero, one]
     for k in range(1, hi):

@@ -173,14 +173,6 @@ def closure(gens, cap=1_000_000, store_elements=True):
                          np.concatenate([b for _, b in kept]), stats)
 
 
-def closure_keys(gens, cap=1_000_000):
-    """The canonical key set of the closure (for invariance tests)."""
-    res = closure(gens, cap=cap, store_elements=True)
-    if res.cap_exceeded:
-        raise ValueError("cap exceeded")
-    return {(int(d), a.tobytes()) for a, d in zip(res.elements, res.dens)}
-
-
 def element_order(mat, cap=10_000):
     """Multiplicative order, or None when cap is passed first."""
     p = mat

@@ -1,13 +1,10 @@
 """Small square matrices over an arbitrary exact commutative ring.
 
-The entry type only has to support +, -, *, mixing with ints and Fractions,
-and == against int.  That covers Fraction itself, cyclotomic elements, and
-the sparse symbolic polynomials.  Characteristic polynomials go through the
-trace recursion (Faddeev-LeVerrier), whose only divisions are by small
-integers and therefore stay exact.
+The entry type only has to support +, -, * and == against an int.  That
+covers ints, Fractions, cyclotomic elements and the sparse symbolic
+polynomials over Z.  Characteristic polynomials go through Berkowitz's
+recursion, which never divides, so they stay in the entry ring.
 """
-
-from fractions import Fraction
 
 from .upoly import UPoly
 
@@ -67,10 +64,6 @@ class SquareMat:
         return SquareMat([[-x for x in r] for r in self.rows],
                          self.one, self.zero)
 
-    def scale(self, c):
-        return SquareMat([[c * x for x in r] for r in self.rows],
-                         self.one, self.zero)
-
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
@@ -108,25 +101,29 @@ class SquareMat:
         return True
 
     def char_poly(self):
-        """Characteristic polynomial det(X I - M) as a UPoly whose
-        coefficients live in the entry ring."""
-        n = self.n
-        ident = SquareMat.identity(n, self.one, self.zero)
-        coeffs = [self.one]  # leading coefficient of X^n
-        mk = self
-        cs = []
-        for k in range(1, n + 1):
-            ck = mk.trace() * Fraction(-1, k)
-            cs.append(ck)
-            if k < n:
-                mk = self * (mk + ident.scale(ck))
-        # char = X^n + c1 X^(n-1) + ... + cn
-        return UPoly(list(reversed(cs)) + [self.one])
-
-    def det(self):
-        cp = self.char_poly()
-        c0 = cp.constant()
-        return c0 if self.n % 2 == 0 else -c0
+        """det(X I - M) as a UPoly over the entry ring, by Berkowitz's
+        recursion: bordering the leading r x r block A with the column c
+        above the new diagonal entry a and the row R left of it multiplies
+        the block's char poly (from X^r down) by the Toeplitz matrix whose
+        first column is 1, -a, -R c, -R A c, ..., -R A^(r-1) c."""
+        rows, zero = self.rows, self.zero
+        cp = [self.one]
+        for r in range(self.n):
+            block = [row[:r] for row in rows[:r]]
+            col = [row[r] for row in rows[:r]]
+            toeplitz = [-rows[r][r]]
+            for j in range(r):
+                if j:
+                    col = [sum_ring(b, col, zero) for b in block]
+                toeplitz.append(-sum_ring(rows[r][:r], col, zero))
+            # toeplitz is the column below its leading 1; cp[0] is one, so
+            # the column's products with it are the column itself
+            nxt = [cp[0]] + [c + t for c, t in zip(cp[1:] + [zero], toeplitz)]
+            for i in range(1, r + 1):
+                for j, t in enumerate(toeplitz[:r + 1 - i], i + 1):
+                    nxt[j] = nxt[j] + t * cp[i]
+            cp = nxt
+        return UPoly(cp[::-1])
 
     def inverse(self):
         """Gauss-Jordan inverse; entries must support true division."""

@@ -1,20 +1,12 @@
-"""Sparse polynomials in the four edge constants alpha, beta, l, m.
+"""Sparse polynomials over Z in the four edge constants alpha, beta, l, m.
 
-Terms are a dict from exponent 4-tuples to nonzero coefficients.  This is
-all the symbolic machinery the rank-3 closed-form checks need: ring ops and
-a fraction-free pseudo-remainder for the conditional factorization claims.
+Terms map exponent 4-tuples to nonzero ints; an MPoly mixes with ints only,
+and any other scalar operand raises TypeError.  Ring ops and a fraction-free
+pseudo-remainder (for the conditional factorizations) are all it needs.
 """
-
-from fractions import Fraction
 
 VAR_NAMES = ("alpha", "beta", "l", "m")
 NVARS = 4
-
-
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class MPoly:
@@ -24,14 +16,12 @@ class MPoly:
         self.terms = {}
         if terms:
             for exps, c in terms.items():
-                c = _norm(c)
                 if c != 0:
                     self.terms[exps] = c
 
     @classmethod
     def const(cls, c):
         p = cls()
-        c = _norm(c)
         if c != 0:
             p.terms[(0, 0, 0, 0)] = c
         return p
@@ -48,7 +38,7 @@ class MPoly:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -63,17 +53,20 @@ class MPoly:
         return p
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for e, c in small.items():
             s = out.get(e, 0) + c
             if s == 0:
                 out.pop(e, None)
             else:
-                out[e] = _norm(s)
+                out[e] = s
         p = MPoly()
         p.terms = out
         return p
@@ -81,7 +74,7 @@ class MPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MPoly.const(other)
         return self + (-other)
 
@@ -89,11 +82,11 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return MPoly()
             p = MPoly()
-            p.terms = {e: _norm(c * other) for e, c in self.terms.items()}
+            p.terms = {e: c * other for e, c in self.terms.items()}
             return p
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -107,7 +100,7 @@ class MPoly:
                 else:
                     out[e] = s
         p = MPoly()
-        p.terms = {e: _norm(c) for e, c in out.items()}
+        p.terms = out
         return p
 
     __rmul__ = __mul__
@@ -163,7 +156,7 @@ GAMMA = L * M
 
 
 def prem(f, g, var):
-    """Fraction-free pseudo-remainder of f by g with respect to var.
+    """A fraction-free pseudo-remainder of f by g with respect to var.
     Vanishing pseudo-remainder certifies divisibility when g is primitive
     (content-free) in var."""
     dg = g.degree_in(var)

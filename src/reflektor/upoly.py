@@ -49,9 +49,6 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
     def constant(self):
         return self.coeffs[0] if self.coeffs else 0
 
@@ -160,8 +157,8 @@ class UPoly:
         return q
 
     def eval(self, x):
-        """Horner evaluation; x can live in any commutative ring that
-        mixes with int/Fraction coefficients."""
+        """Horner evaluation from int 0; x must mix with the coefficients
+        (an MPoly x, a ring over Z, takes int or MPoly ones, not Fractions)."""
         result = 0
         for c in reversed(self.coeffs):
             result = result * x + c

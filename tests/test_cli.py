@@ -80,6 +80,17 @@ def test_verify_identities_range(capsys):
     assert code == 0
 
 
+def test_verify_section2_kmax(capsys):
+    # --kmax K checks the power formulas at every exponent |n| <= 2 K + 1
+    code, out = run(capsys, "verify", "section2", "--kmax", "1", "--json")
+    assert code == 0
+    cases = json.loads(out)[0]["cases"]
+    assert all(c["status"] == "pass" for c in cases)
+    powers = {int(c["case_id"].split(":")[1]) for c in cases
+              if c["case_id"].startswith("s1s2:")}
+    assert powers == set(range(-3, 4))
+
+
 def test_field_root_of_v(capsys):
     code, out = run(capsys, "field", "root-of-v", "5", "1")
     assert code == 0
@@ -180,6 +191,8 @@ BAD_INPUT = [
     ["group", "order", "--preset", "atilde:3", "--cap", "-1"],
     ["group", "order", "--preset", "atilde:3", "--cap", "0"],
     ["verify", "roots", "--max-r", "2"],
+    ["verify", "classification", "--bound", "2"],
+    ["verify", "section2", "--kmax", "-1"],
 ]
 
 

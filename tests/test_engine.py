@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from reflektor.engine import (closure, closure_keys, element_order,
+from reflektor.engine import (closure, element_order,
                               scalar_power_check, is_unipotent,
                               check_relation, conjugate, center_order,
                               monomial_group_order)
@@ -24,10 +24,11 @@ def test_closure_cap():
 
 
 def test_closure_keys_generator_order_invariance():
+    def keys(gens):
+        res = closure(gens)
+        return {(int(d), a.tobytes()) for a, d in zip(res.elements, res.dens)}
     rep = circuit_rep(3, 3)
-    keys1 = closure_keys(rep.gens)
-    keys2 = closure_keys(list(reversed(rep.gens)))
-    assert keys1 == keys2
+    assert keys(rep.gens) == keys(list(reversed(rep.gens)))
 
 
 def test_element_order():

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from reflektor.matrices import pair_C
 from reflektor.mpoly import MPoly, ALPHA, BETA, L, M, GAMMA, prem
 from reflektor import sympoly
@@ -13,9 +15,14 @@ def test_mpoly_basic_ring_ops():
     assert (ALPHA * 0).is_zero()
 
 
-def test_mpoly_coerces_rationals():
-    p = ALPHA * Fraction(1, 2) + Fraction(1, 2) * ALPHA
-    assert p == ALPHA
+def test_mpoly_refuses_rationals():
+    # MPoly is a ring over Z: it mixes with ints only
+    for make in (lambda: ALPHA * Fraction(1, 2),
+                 lambda: Fraction(1, 2) * ALPHA,
+                 lambda: ALPHA + Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            make()
+    assert ALPHA * 2 - ALPHA == ALPHA
 
 
 def test_prem_divisibility():

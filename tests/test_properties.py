@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reflektor.cyclo import (CycloElem, field_ctx, galois_norm,
-                             power_basis_coords)
+                             power_basis_coords, u_value_seq)
 from reflektor.engine import _keys, apply_rep, closure, regular_rep
-from reflektor.matrices import SquareMat
-from reflektor.mpoly import MPoly
+from reflektor.matrices import SquareMat, mat_word
+from reflektor.mpoly import ALPHA, MPoly
 from reflektor.reflrep import preset, rank3_rep
 from reflektor.scalars import rat_str
+from reflektor.sympoly import GENS
 from reflektor.upoly import UPoly, u_poly
 
 rationals = st.builds(
@@ -245,6 +246,57 @@ def test_power_basis_coords_matches_gauss_jordan(pair, data):
     for c in got:
         acc, p = acc + p * c, p * gen
     assert acc == y
+
+
+# -- characteristic polynomial: Berkowitz against Faddeev-LeVerrier ------
+
+def _faddeev_char_poly(mat):
+    """Faddeev-LeVerrier, the reference for SquareMat.char_poly: with
+    M_1 = M, c_k = -trace(M_k) / k and M_(k+1) = M (M_k + c_k I), the char
+    poly is X^n + c_1 X^(n-1) + ... + c_n.  It divides by k, so the entries
+    must mix with Fractions."""
+    n, one, zero = mat.n, mat.one, mat.zero
+    cs, mk = [], mat
+    for k in range(1, n + 1):
+        ck = mk.trace() * Fraction(-1, k)
+        cs.append(ck)
+        if k < n:
+            shift = SquareMat([[ck * one if i == j else ck * zero
+                                for j in range(n)] for i in range(n)],
+                              one, zero)
+            mk = mat * (mk + shift)
+    return UPoly(cs[::-1] + [one])
+
+
+def _entry_ring(kind):
+    """Entries, one and zero of a matrix over ints, Fractions or
+    Q(zeta_kind)."""
+    if kind == "int":
+        return st.integers(-30, 30), 1, 0
+    if kind == "fraction":
+        return rationals, 1, 0
+    ctx = field_ctx(kind)
+    return cyclo_elems(kind), ctx.one(), ctx.zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["int", "fraction", 1, 5, 7, 12]),
+       st.integers(1, 5), st.data())
+def test_char_poly_matches_faddeev(kind, n, data):
+    entries, one, zero = _entry_ring(kind)
+    flat = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    mat = SquareMat([flat[i * n:(i + 1) * n] for i in range(n)], one, zero)
+    assert _same(mat.char_poly(), _faddeev_char_poly(mat))
+
+
+def test_symbolic_coefficients_stay_ints():
+    words = [[1], [1, 2]] + [[1] + [2, 3] * n for n in (1, 2, 3)]
+    values = list(u_value_seq(ALPHA, 20))
+    for word in words:
+        values += mat_word(GENS, word).char_poly().coeffs
+    coeffs = [c for x in values
+              for c in (x.terms.values() if isinstance(x, MPoly) else [x])]
+    assert all(type(c) is int for c in coeffs)
 
 
 # -- closure kernel: R(g) @ batch against Python ints ---------------------

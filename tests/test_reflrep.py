@@ -27,7 +27,8 @@ def test_generators_are_reflections():
     rep = preset("h3_coxeter")
     for s in rep.gens:
         assert (s * s).is_identity()
-        assert s.det() == -1
+        # det = (-1)^n times the constant term of the char poly
+        assert s.char_poly().constant() == (-1) ** (rep.rank + 1)
         assert s.trace() == rep.rank - 2
 
 
