@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .report import SuiteResult
-from .upoly import (UPoly, cyclotomic_poly, euler_phi,
+from .upoly import (UPoly, cyclotomic_poly, euler_phi, _factorize,
                     n_prime, prime_power_class)
 
 _CTX_CACHE = {}
@@ -624,17 +624,65 @@ def quad_power_suite():
     return res
 
 
+class ModPMap:
+    """The ring map Z[zeta_M] -> F_p, zeta_M -> w, for the first prime
+    p = 1 mod M with a generator g < 500 of F_p*, and w = g^((p-1)/M) of
+    order M.  Since p splits completely in Q(zeta_M), w is a root of Phi_M
+    mod p, so the map is a ring homomorphism (Washington, Introduction to
+    Cyclotomic Fields, ch. 2); on Q(zeta_L) with L | M it sends zeta_L to
+    w^(M/L).
+
+    g is tested against the primes of p - 1 = j M, which are those of M and
+    those of j, so no loop runs up to p.  A g with g^(p-1) = 1 and
+    g^((p-1)/q) != 1 for every such prime q also proves p prime (Lucas), so
+    a candidate that passes the Fermat screen but has no such g below 500
+    is passed over."""
+
+    def __init__(self, m):
+        self.M = m
+        j = 0
+        while True:
+            j += 1
+            p = j * m + 1
+            if pow(2, p - 1, p) != 1:
+                continue
+            qs = set(_factorize(m)) | set(_factorize(j))
+            for g in range(2, min(p, 500)):
+                if pow(g, p - 1, p) == 1 and all(
+                        pow(g, (p - 1) // q, p) != 1 for q in qs):
+                    self.p = p
+                    self.w = pow(g, j, p)
+                    return
+
+    def __call__(self, x):
+        """The image of x, an element of Q(zeta_L) with L | M whose
+        denominator is prime to p."""
+        p = self.p
+        z = pow(self.w, self.M // x.ctx.N, p)
+        acc = 0
+        for c in reversed(x.vec):
+            acc = (acc * z + c) % p
+        return acc * pow(x.den, -1, p) % p
+
+
 def classification_search(bound, phi_cap=200):
     """Search all triples of v-roots (alpha, beta, gamma) with indices
     3 <= p, q, r <= bound for the two degeneracy equations
-    alpha*beta = 4*gamma  and  4 - alpha - beta - gamma = 0,
-    working exactly in Q(zeta_lcm).  Triples whose common field would exceed
-    degree phi_cap are skipped and reported."""
+    alpha*beta = 4*gamma  and  4 - alpha - beta - gamma = 0.
+
+    Triples whose common field Q(zeta_lcm) would exceed degree phi_cap are
+    skipped and reported.  Every other triple goes first through ModPMap for
+    M = lcm(3..bound): a nonzero image of alpha*beta - 4*gamma or of
+    4 - alpha - beta - gamma proves that side nonzero, and a zero image is
+    certified exactly in Q(zeta_lcm)."""
     roots = []
     for r in range(3, bound + 1):
         for k in _coprime_ks(r):
             roots.append((r, k))
 
+    image = ModPMap(lcm(*range(3, bound + 1)))
+    p = image.p
+    mod_p = {rk: image(root_of_v(*rk)) for rk in roots}
     lifted = {}
 
     def lift_root(rk, L):
@@ -656,12 +704,15 @@ def classification_search(bound, phi_cap=200):
                 if euler_phi(L) > phi_cap:
                     skipped.add(tuple(sorted((ra[0], rb[0], rc[0]))))
                     continue
-                a = lift_root(ra, L)
-                b = lift_root(rb, L)
-                c = lift_root(rc, L)
-                if (a * b - 4 * c).is_zero():
+                a, b, c = mod_p[ra], mod_p[rb], mod_p[rc]
+                product_zero = (a * b - 4 * c) % p == 0
+                sum_zero = ic >= ib and (4 - a - b - c) % p == 0
+                if not (product_zero or sum_zero):
+                    continue
+                a, b, c = (lift_root(rk, L) for rk in (ra, rb, rc))
+                if product_zero and (a * b - 4 * c).is_zero():
                     product_sols.append({"alpha": ra, "beta": rb, "gamma": rc})
-                if ic >= ib and (4 - a - b - c).is_zero():
+                if sum_zero and (4 - a - b - c).is_zero():
                     sum_sols.append(tuple(sorted((ra, rb, rc))))
     return {
         "product": product_sols,

@@ -21,6 +21,7 @@ class SuiteResult:
         self.name = name
         self.records = []          # (case_id, status, detail)
         self.elapsed = 0.0
+        self.stats = {}            # what a check covered, by key
 
     def add(self, case_id, status, detail=""):
         self.records.append((case_id, status, detail))
@@ -32,7 +33,10 @@ class SuiteResult:
         self.add(_case_id(label), "skipped", reason)
 
     def merge(self, other):
+        """Append other's records; each stat keeps the larger value."""
         self.records.extend(other.records)
+        for key, value in other.stats.items():
+            self.stats[key] = max(value, self.stats.get(key, value))
 
     @property
     def cases(self):
@@ -51,13 +55,16 @@ class SuiteResult:
         return not self.failures
 
     def to_dict(self):
-        return {
+        out = {
             "suite_id": self.name,
             "cases": [{"case_id": c, "status": s, "detail": d}
                       for c, s, d in self.records],
             "elapsed": round(self.elapsed, 3),
             "artifact_version": ARTIFACT_VERSION,
         }
+        if self.stats:
+            out["stats"] = dict(self.stats)
+        return out
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL(%d)" % len(self.failures)

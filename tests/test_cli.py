@@ -80,6 +80,21 @@ def test_verify_identities_range(capsys):
     assert code == 0
 
 
+def test_verify_identities_range_with_no_tuple_for_a_tag(capsys):
+    # C6_16 needs an odd p >= 1, so -5..0 checks nothing for it
+    code, out = run(capsys, "verify", "identities", "--range", "-5..0",
+                    "--json")
+    assert code == 0
+    payload = json.loads(out)[0]
+    cases = {c["case_id"]: c for c in payload["cases"]}
+    assert cases["C6_16:-5..0"] == {"case_id": "C6_16:-5..0",
+                                    "status": "skipped",
+                                    "detail": "0 index tuples"}
+    assert [c["status"] for c in cases.values()].count("skipped") == 1
+    stats = payload["stats"]
+    assert stats["kronecker_bits"] == stats["majorant_bits"] + 1
+
+
 def test_verify_section2_kmax(capsys):
     # --kmax K checks the power formulas at every exponent |n| <= 2 K + 1
     code, out = run(capsys, "verify", "section2", "--kmax", "1", "--json")

@@ -2,21 +2,24 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reflektor.cyclo import (CycloElem, field_ctx, galois_norm,
+from reflektor.cyclo import (CycloElem, ModPMap, classification_search,
+                             field_ctx, galois_norm, root_of_v,
                              power_basis_coords, u_value_seq)
+from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
+                                  MAJORANT, Ring)
 from reflektor.engine import _keys, apply_rep, closure, regular_rep
 from reflektor.matrices import SquareMat, mat_word
 from reflektor.mpoly import ALPHA, MPoly
 from reflektor.reflrep import preset, rank3_rep
 from reflektor.scalars import rat_str
 from reflektor.sympoly import GENS
-from reflektor.upoly import UPoly, u_poly
+from reflektor.upoly import UPoly, X, euler_phi, u_poly
 
 rationals = st.builds(
     Fraction,
@@ -598,3 +601,96 @@ def test_int64_steps_count_the_fallback(weight, steps):
                                   "gppn:4:4"])
 def test_finite_presets_take_only_float_steps(name):
     assert closure(preset(name).gens).stats["int64_steps"] == 0
+
+
+# -- identity catalog: the L1 majorant against UPoly --------------------
+
+UPOLY_RING = Ring(u_poly, X, FOUR_MINUS_X,
+                  lambda k: u_poly(k).compose(FOUR_MINUS_X), UPoly())
+
+
+def _l1(poly):
+    return sum(abs(c) for c in poly.coeffs)
+
+
+def _max_coeff(poly):
+    return max((abs(c) for c in poly.coeffs), default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TAGS), st.integers(-25, 25), st.integers(-25, 25))
+def test_majorant_bounds_every_coefficient(tag, n, m):
+    arity, domain, build = IDENTITIES[tag]
+    idx = (n, m)[:arity]
+    assume(domain(idx))
+    for (lhs, rhs), (p, q) in zip(build(MAJORANT, *idx),
+                                  build(UPOLY_RING, *idx)):
+        assert lhs.v >= _l1(p) and rhs.v >= _l1(q)
+        # the bound does not lean on the cancellation that makes p = q
+        assert lhs.v + rhs.v >= max(_max_coeff(p - q), _max_coeff(p + q))
+
+
+# -- classification search: the mod-p filter against the exact search -----
+
+_LIFTED = {}
+
+
+def _reference_search(bound, phi_cap=200):
+    """The search with every triple decided in Q(zeta_lcm)."""
+    roots = [(r, k) for r in range(3, bound + 1)
+             for k in range(1, (r + 1) // 2) if gcd(k, r) == 1]
+
+    def lift(rk, L):
+        if (rk, L) not in _LIFTED:
+            _LIFTED[rk, L] = root_of_v(*rk).lift(field_ctx(L))
+        return _LIFTED[rk, L]
+
+    product_sols, sum_sols, skipped = [], set(), set()
+    for ia, ra in enumerate(roots):
+        for ib in range(ia, len(roots)):
+            rb = roots[ib]
+            for ic, rc in enumerate(roots):
+                L = lcm(ra[0], rb[0], rc[0])
+                if euler_phi(L) > phi_cap:
+                    skipped.add(tuple(sorted((ra[0], rb[0], rc[0]))))
+                    continue
+                a, b, c = lift(ra, L), lift(rb, L), lift(rc, L)
+                if (a * b - 4 * c).is_zero():
+                    product_sols.append({"alpha": ra, "beta": rb, "gamma": rc})
+                if ic >= ib and (4 - a - b - c).is_zero():
+                    sum_sols.add(tuple(sorted((ra, rb, rc))))
+    return {"product": product_sols, "sum": sorted(sum_sols),
+            "skipped": sorted(skipped)}
+
+
+@pytest.mark.parametrize("bound", range(5, 13))
+def test_classification_matches_exact_search(bound):
+    assert classification_search(bound) == _reference_search(bound)
+
+
+MAP_12 = ModPMap(lcm(*range(3, 13)))
+
+
+def test_mod_p_map_at_bound_12():
+    p, w, m = MAP_12.p, MAP_12.w, MAP_12.M
+    assert (m, p) == (27720, 55441)
+    assert all(p % d for d in range(2, 236))   # 235^2 < p < 236^2
+    # w has order exactly M
+    assert pow(w, m, p) == 1
+    assert all(pow(w, m // q, p) != 1 for q in (2, 3, 5, 7, 11))
+    for r in range(3, 13):
+        for k in range(1, r):
+            if gcd(k, r) == 1:
+                z = pow(w, m // r * k, p)
+                assert MAP_12(root_of_v(r, k)) == (z + pow(z, -1, p) + 2) % p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4, 5, 7, 8, 9, 11, 12, 28, 35]), st.data())
+def test_mod_p_map_is_a_ring_map(L, data):
+    x = data.draw(cyclo_elems(L))
+    y = data.draw(cyclo_elems(L))
+    p = MAP_12.p
+    assert MAP_12(x + y) == (MAP_12(x) + MAP_12(y)) % p
+    assert MAP_12(x * y) == MAP_12(x) * MAP_12(y) % p
+    assert MAP_12(field_ctx(L).one()) == 1
