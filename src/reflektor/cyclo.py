@@ -12,9 +12,10 @@ equality is tuple equality.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .matrices import SquareMat
 from .report import SuiteResult
 from .upoly import (UPoly, cyclotomic_poly, euler_phi, _factorize,
-                    n_prime, prime_power_class)
+                    format_poly, n_prime, prime_power_class)
 
 _CTX_CACHE = {}
 
@@ -251,7 +252,6 @@ class CycloElem:
         return CycloElem(ctx2, ctx2.reduce(out), self.den)
 
     def __repr__(self):
-        from .upoly import format_poly
         body = format_poly(UPoly(self.vec), var="z")
         if self.den == 1:
             return body
@@ -409,34 +409,17 @@ def power_basis_coords(x, gen, dim):
 
 # -- quadratic extensions a^2 = phi a +/- 1 ----------------------------
 
-def quad_mul(x, y, phi, sign):
-    """Product of x = (c1, c0) and y = (d1, d0) meaning c1*a + c0, in the
-    ring where a^2 = phi*a + sign (sign is +1 or -1)."""
-    c1, c0 = x
-    d1, d0 = y
-    cross = c1 * d1
-    return (cross * phi + c1 * d0 + c0 * d1, c0 * d0 + sign * cross)
-
-
 def quad_pow(phi, sign, n):
-    """a^n as a pair (coefficient of a, constant), for any integer n.
-    Negative powers use a^(-1) = sign * (a - phi)."""
+    """a^n as a pair (coefficient of a, constant), for any integer n: the
+    second column of M^n, where M = [[phi, 1], [sign, 0]] is multiplication
+    by a on (coefficient of a, constant).  Negative powers invert M, so phi
+    must then support true division (a Fraction or a CycloElem)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    one_c = phi - phi + 1  # one in whatever ring phi lives in
-    zero_c = phi - phi
-    if n >= 0:
-        base = (one_c, zero_c)
-    else:
-        base = (sign * one_c, -sign * phi)
-        n = -n
-    result = (zero_c, one_c)
-    while n:
-        if n & 1:
-            result = quad_mul(result, base, phi, sign)
-        base = quad_mul(base, base, phi, sign)
-        n >>= 1
-    return result
+    one = phi - phi + 1  # one in whatever ring phi lives in
+    zero = phi - phi
+    rows = (SquareMat([[phi, one], [sign * one, zero]], one, zero) ** n).rows
+    return (rows[0][1], rows[1][1])
 
 
 def quad_pow_closed(phi, sign, n):

@@ -191,15 +191,16 @@ def circuit_rep(p, n):
     """The circuit diagram on n generators whose cycle edge carries
     (zeta_p, zeta_p^-1); the image group is the monomial group of order
     p^(n-1) n!."""
+    if p < 2:
+        raise ValueError("need p >= 2 (gppn:1:n would be the affine atilde:n)")
     if n < 3:
         raise ValueError("need rank >= 3")
-    cond = 1 if p == 1 else p
-    ctx = field_ctx(cond)
+    ctx = field_ctx(p)
     l = ctx.from_int(-1) if p == 2 else ctx.zeta(1)
     m = ctx.from_int(-1) if p == 2 else ctx.zeta(-1)
     edges = {(i, i + 1): (1, 1) for i in range(1, n)}
     edges[(1, n)] = (l, m)
-    spec = DiagramSpec(n, edges, conductor=cond)
+    spec = DiagramSpec(n, edges, conductor=p)
     return ReflectionRep("gppn:%d:%d" % (p, n), spec, ctx)
 
 
@@ -220,10 +221,10 @@ def gnn3_rep(n, k=1):
     shifted into place and the image has order 6 n^2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n == 2:
-        return rank3_rep("gnn3:2:1", 1, 1, 0, 0, 1)
     if gcd(k, n) != 1:
         raise ValueError("k must be coprime to n")
+    if n == 2:
+        return rank3_rep("gnn3:2:1", 1, 1, 0, 0, 1)
     ctx = field_ctx(n)
     l = -1 - ctx.zeta(k)
     m = -1 - ctx.zeta(-k)

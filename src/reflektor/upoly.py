@@ -1,42 +1,29 @@
-"""Dense univariate polynomials over Q, and the u_n / v_n families.
+"""Dense univariate polynomials, and the u_n / v_n families.
 
-Coefficients are stored ascending.  They stay Python ints whenever they can;
-a Fraction only appears if a construction or division introduces one.  The
-product of two integer polynomials goes through Kronecker substitution (pack
-into one big int, one multiply, unpack), and the division of an integer
-polynomial by an integer one with leading coefficient +1 or -1 is synthetic
-division in ints.  Every v_n and Phi_N is built that way, which is what keeps
-the big identity sweeps cheap.
+A UPoly is a polynomial over whatever commutative ring its coefficients
+come from: ints for u_n, v_n and Phi_N, and CycloElem or MPoly entries for
+the characteristic polynomials of matrices.  Coefficients are stored
+ascending, and any operand that is not a UPoly is read as a constant of
+that ring.  Products are schoolbook convolutions.  The one division is
+synthetic division of an int polynomial by an int one whose leading
+coefficient is +1 or -1, so quotient and remainder stay integral; that is
+all v_n and Phi_N need, since each is built by exact division by monic
+factors.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .scalars import rat_str
 
-
-def _norm_coeff(c):
-    # exact type tests: isinstance against Fraction goes through the ABC
-    # machinery, and this runs on every coefficient of every UPoly
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _rational(c):
-    try:
-        return Fraction(c)
-    except TypeError:
-        raise TypeError("UPoly division needs rational coefficients, not %s"
-                        % type(c).__name__) from None
+def _const(c):
+    return c if isinstance(c, UPoly) else UPoly([c])
 
 
 class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -56,13 +43,7 @@ class UPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
-        if isinstance(other, UPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.coeffs
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
-        return NotImplemented
+        return self.coeffs == _const(other).coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -71,11 +52,7 @@ class UPoly:
         return UPoly([-c for c in self.coeffs])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly([other])
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _const(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -86,21 +63,15 @@ class UPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, UPoly) else UPoly([-other]))
+        return self + -_const(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _const(other).coeffs
         if not a or not b:
             return UPoly()
-        if _all_int(a) and _all_int(b):
-            return UPoly(_kronecker_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -123,32 +94,34 @@ class UPoly:
         return result
 
     def __divmod__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly([other])
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if _all_int(other.coeffs) and other.coeffs[-1] in (1, -1) \
-                and _all_int(self.coeffs):
-            q, r = _int_divmod(self.coeffs, other.coeffs)
-            return UPoly(q), UPoly(r)
-        rem = [_rational(c) for c in self.coeffs]
-        div = [_rational(c) for c in other.coeffs]
-        lead = div[-1]
-        dn = other.degree
-        quo = [Fraction(0)] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - 1 - dn, -1, -1):
-            c = rem[i + dn] / lead
+        """Quotient and remainder by synthetic division in ints: every
+        quotient coefficient is a remainder coefficient times +/-1, so
+        nothing leaves the integers.  Both operands must have int
+        coefficients and the divisor a leading coefficient of +1 or -1;
+        anything else raises ValueError."""
+        a, b = self.coeffs, _const(other).coeffs
+        if not (b and b[-1] in (1, -1)
+                and all(type(c) is int for c in a + b)):
+            raise ValueError("UPoly division needs int coefficients and a "
+                             "divisor with leading coefficient +1 or -1")
+        dn = len(b) - 1
+        rem = list(a)
+        nq = len(rem) - dn
+        if nq <= 0:
+            return UPoly(), self
+        neg = b[-1] == -1
+        # the divisors here (X^d - 1, Phi_N, v_d) are often sparse
+        terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+        quo = [0] * nq
+        for i in range(nq - 1, -1, -1):
+            c = rem[i + dn]
             if c:
+                if neg:
+                    c = -c
                 quo[i] = c
-                for j, oc in enumerate(div):
-                    rem[i + j] -= c * oc
-        return UPoly(quo), UPoly(rem[:dn] if dn > 0 else [])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+                for j, bc in terms:
+                    rem[i + j] -= c * bc
+        return UPoly(quo), UPoly(rem[:dn])
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -167,7 +140,7 @@ class UPoly:
     def compose(self, other):
         result = UPoly()
         for c in reversed(self.coeffs):
-            result = result * other + UPoly([c])
+            result = result * other + c
         return result
 
     def __repr__(self):
@@ -177,67 +150,13 @@ class UPoly:
         return format_poly(self)
 
 
-def _all_int(cs):
-    return all(type(c) is int for c in cs)
-
-
-def _int_divmod(a, b):
-    """Quotient and remainder coefficient lists of int coefficients a by int
-    coefficients b whose leading one is +1 or -1.  Synthetic division: every
-    quotient coefficient is a remainder coefficient times +/-1, so nothing
-    leaves the integers."""
-    dn = len(b) - 1
-    rem = list(a)
-    nq = len(rem) - dn
-    if nq <= 0:
-        return [], rem
-    neg = b[-1] == -1
-    # the divisors here (X^d - 1, Phi_N, v_d) are often sparse
-    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
-    quo = [0] * nq
-    for i in range(nq - 1, -1, -1):
-        c = rem[i + dn]
-        if c:
-            if neg:
-                c = -c
-            quo[i] = c
-            for j, bc in terms:
-                rem[i + j] -= c * bc
-    return quo, rem[:dn]
-
-
-def _kronecker_mul(a, b):
-    # pack both polynomials into single integers at a spacing wide enough
-    # that no convolution coefficient can touch its neighbour
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    bound = ma * mb * min(len(a), len(b))
-    bits = bound.bit_length() + 2
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-
-    def pack(cs):
-        v = 0
-        for c in reversed(cs):
-            v = (v << bits) + c
-        return v
-
-    val = pack(a) * pack(b)
-    out = []
-    while val:
-        d = val & mask
-        if d >= half:
-            d -= mask + 1
-        out.append(d)
-        val = (val - d) >> bits
-    return out
-
-
 X = UPoly([0, 1])
 ONE = UPoly([1])
 
 
 def format_poly(p, var="X"):
+    """Highest degree first, e.g. "X^2 - 3*X + 1"; the coefficients must
+    be ints or Fractions."""
     if p.is_zero():
         return "0"
     parts = []
@@ -245,12 +164,12 @@ def format_poly(p, var="X"):
         c = p.coeffs[i]
         if c == 0:
             continue
+        mag = str(abs(c))
         if i == 0:
-            body = rat_str(abs(c) if isinstance(c, int) else abs(Fraction(c)))
+            body = mag
         else:
-            mag = abs(c) if isinstance(c, int) else abs(Fraction(c))
             xpart = var if i == 1 else "%s^%d" % (var, i)
-            body = xpart if mag == 1 else "%s*%s" % (rat_str(mag), xpart)
+            body = xpart if mag == "1" else "%s*%s" % (mag, xpart)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

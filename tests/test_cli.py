@@ -199,6 +199,8 @@ BAD_INPUT = [
     ["rep", "preset", "gppn:3"],
     ["group", "order", "--preset", "gppn:3"],
     ["rep", "preset", "gnn3:4:1:1"],
+    ["group", "order", "--preset", "gppn:1:3"],
+    ["group", "order", "--preset", "gnn3:2:2"],
     ["rep", "delta", "h4_1"],
     ["field", "root-of-v", "2"],
     ["field", "root-of-v", "6", "2"],

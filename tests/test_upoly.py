@@ -112,3 +112,5 @@ def test_format_poly():
     assert format_poly(u_poly(5)) == "X^2 - 3*X + 1"
     assert format_poly(UPoly()) == "0"
     assert format_poly(UPoly([Fraction(1, 2), 1])) == "X + 1/2"
+    assert format_poly(UPoly([Fraction(2), Fraction(-3, 2), Fraction(1)])) \
+        == "X^2 - 3/2*X + 2"
