@@ -145,20 +145,26 @@ REFUSED = "int coefficients and a divisor with leading coefficient"
 
 
 @given(int_coeffs, st.lists(st.integers(-50, 50), max_size=5),
-       st.integers(-9, 9).filter(lambda c: c not in (-1, 0, 1)),
+       st.integers(-9, 9).filter(lambda c: c not in (-1, 0, 1)))
+def test_non_unit_divisor_is_refused(a, low, lead):
+    """An int divisor whose leading coefficient is not +1 or -1 is refused,
+    and so is the zero divisor."""
+    for den in (UPoly(low + [lead]), UPoly()):
+        with pytest.raises(ValueError, match=REFUSED):
+            divmod(UPoly(a), den)
+
+
+@given(int_coeffs, st.lists(st.integers(-50, 50), max_size=5),
        st.sampled_from([1, -1]), rationals.filter(bool), st.data())
-def test_division_refuses_all_but_int_by_unit(a, low, lead, unit, q, data):
-    """A divisor that is not an int polynomial with leading coefficient +1
-    or -1 is refused, zero included, and so is a dividend that is not an
-    int polynomial; one Fraction coefficient is enough, even an integral
-    one."""
+def test_fraction_operands_are_refused(a, low, unit, q, data):
+    """A divisor or a dividend that is not an int polynomial is refused,
+    even when the divisor is monic; one Fraction coefficient is enough,
+    even an integral one."""
     def with_fraction(cs):
         i = data.draw(st.integers(0, len(cs)))
         return UPoly(cs[:i] + [q] + cs[i:])
 
-    for num, den in ((UPoly(a), UPoly(low + [lead])),
-                     (UPoly(a), UPoly()),
-                     (UPoly(a), with_fraction(low + [unit])),
+    for num, den in ((UPoly(a), with_fraction(low + [unit])),
                      (with_fraction(a), UPoly(low + [unit]))):
         with pytest.raises(ValueError, match=REFUSED):
             divmod(num, den)
