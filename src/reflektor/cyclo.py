@@ -7,6 +7,19 @@ root triples satisfy the two degeneracy equations.
 Elements are integer coefficient vectors in the power basis 1, z, ..,
 z^(phi(N)-1) over a single positive denominator, always gcd-normalized, so
 equality is tuple equality.
+
+The scalar kernel:
+- reduction mod Phi_N first folds a vector modulo X^(N/2) + 1 (N even) or
+  X^N - 1 (N odd), both multiples of Phi_N, and then runs synthetic
+  division over the nonzero terms of Phi_N only;
+- a product convolves the nonzero coefficients of both operands;
+- FieldCtx.dot forms sum x_k y_k as one unreduced integer convolution over
+  the common denominator of the products, reduced and gcd-normalized once;
+  matrix products, matrix-vector products and the Krylov columns of
+  characteristic polynomials over Q(zeta_N) all go through it;
+- the norm N(x) is the determinant of multiplication by x, taken by the
+  same fraction-free elimination (Bareiss 1968) that inverts elements and
+  finds power-basis coordinates.
 """
 
 from fractions import Fraction
@@ -35,24 +48,54 @@ class FieldCtx:
         self.N = n
         self.phi_poly = cyclotomic_poly(n)
         self.degree = self.phi_poly.degree
-        # coefficients of Phi_N below the leading 1, used for reduction
-        self._mod = self.phi_poly.coeffs[:-1]
+        # Phi_N divides X^(N/2) + 1 for even N and X^N - 1 for odd N, so a
+        # vector is first folded modulo that binomial
+        self._fold = n // 2 if n % 2 == 0 else n
+        self._fold_sign = -1 if n % 2 == 0 else 1
+        # the nonzero terms (j, c) of Phi_N below its leading 1
+        self._terms = [(j, c) for j, c in enumerate(self.phi_poly.coeffs[:-1])
+                       if c]
 
     def reduce(self, vec):
-        """Reduce an integer coefficient list mod Phi_N (synthetic division
-        by a monic modulus stays integral)."""
-        d = self.degree
+        """Reduce an integer coefficient list mod Phi_N: fold it modulo
+        X^(N/2) + 1 or X^N - 1, then run synthetic division by the monic
+        Phi_N over its nonzero terms only; both steps stay integral."""
+        d, h = self.degree, self._fold
         v = list(vec)
-        if len(v) < d:
+        if len(v) > h:
+            sign = self._fold_sign
+            for i in range(len(v) - 1, h - 1, -1):
+                if v[i]:
+                    v[i - h] += sign * v[i]
+            del v[h:]
+        elif len(v) < d:
             v += [0] * (d - len(v))
+        terms = self._terms
         for i in range(len(v) - 1, d - 1, -1):
             c = v[i]
             if c:
-                v[i] = 0
                 base = i - d
-                for j, m in enumerate(self._mod):
+                for j, m in terms:
                     v[base + j] -= c * m
         return tuple(v[:d])
+
+    def dot(self, xs, ys):
+        """sum of x_k * y_k as an element of this field, for entries that
+        are ints, Fractions or elements of this conductor.  Every product is
+        convolved into one integer vector over the common denominator of
+        the products, which is reduced and gcd-normalized once."""
+        prods = [_parts(self, x) + _parts(self, y) for x, y in zip(xs, ys)]
+        den = lcm(*(xd * yd for _, xd, _, yd in prods))
+        out = [0] * (2 * self.degree - 1)
+        for xv, xd, yv, yd in prods:
+            s = den // (xd * yd)
+            ys_nz = [(j, s * c) for j, c in enumerate(yv) if c]
+            if ys_nz:
+                for i, a in enumerate(xv):
+                    if a:
+                        for j, b in ys_nz:
+                            out[i + j] += a * b
+        return CycloElem(self, self.reduce(out), den)
 
     def zero(self):
         return CycloElem(self, (0,) * self.degree, 1, _raw=True)
@@ -88,6 +131,18 @@ class FieldCtx:
 
     def __repr__(self):
         return "FieldCtx(%d)" % self.N
+
+
+def _parts(ctx, x):
+    """(coefficient vector, denominator) of x read in ctx."""
+    if isinstance(x, CycloElem):
+        if x.ctx is not ctx and x.ctx.N != ctx.N:
+            raise ValueError("mixed conductors %d and %d; lift first"
+                             % (ctx.N, x.ctx.N))
+        return x.vec, x.den
+    if isinstance(x, int):
+        return (x,), 1
+    return (x.numerator,), x.denominator
 
 
 class CycloElem:
@@ -158,11 +213,12 @@ class CycloElem:
         if o is None:
             return NotImplemented
         a, b = self.vec, o.vec
-        out = [0] * (2 * len(a) - 1 if a else 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
+        out = [0] * (len(a) + len(b) - 1)
+        b_nz = [(j, cb) for j, cb in enumerate(b) if cb]
+        if b_nz:
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in b_nz:
                         out[i + j] += ca * cb
         return CycloElem(self.ctx, self.ctx.reduce(out), self.den * o.den)
 
@@ -206,12 +262,20 @@ class CycloElem:
         return all(c == 0 for c in self.vec)
 
     def __eq__(self, other):
+        # rational elements compare as Fractions whatever their conductors,
+        # as they hash
+        if isinstance(other, CycloElem) and other.ctx.N != self.ctx.N \
+                and self.is_rational() and other.is_rational():
+            return self.to_fraction() == other.to_fraction()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.vec == o.vec and self.den == o.den
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes like one
+        if self.is_rational():
+            return hash(self.to_fraction())
         return hash((self.ctx.N, self.vec, self.den))
 
     def is_rational(self):
@@ -273,15 +337,15 @@ def to_field(x, ctx):
 
 
 def galois_norm(x):
-    """Product of all Galois conjugates; always a rational number."""
-    out = x.ctx.one()
-    n = x.ctx.N
-    if n <= 2:
-        return Fraction(x.vec[0] if x.vec else 0, x.den)
-    for j in range(1, n):
-        if gcd(j, n) == 1:
-            out = out * x.galois(j)
-    return out.to_fraction()
+    """The norm of x down to Q, the product of its Galois conjugates: the
+    determinant of multiplication by x (Cohen, A Course in Computational
+    Algebraic Number Theory, 4.3), that is det(M) / den^d for the integer
+    matrix M of multiplication by den * x on the power basis, with the
+    determinant from the fraction-free elimination of _bareiss."""
+    d = x.ctx.degree
+    rows = [list(r) for r in zip(*x.ctx.mul_columns(x.vec))]
+    pivots, det = _bareiss(rows, d)
+    return Fraction(det if len(pivots) == d else 0, x.den ** d)
 
 
 # -- distinguished roots ----------------------------------------------
@@ -350,27 +414,23 @@ def u_at(seq, n):
     return seq[n] if n >= 0 else -seq[-n]
 
 
-def _solve_int(cols, rhs):
-    """Solve sum_j y_j * cols[j] = rhs over Q for integer vectors of one
-    length, by fraction-free elimination (Bareiss 1968) and back
-    substitution.
-
-    Returns (nums, det) with y_j = nums[j] / det, where det is the last
-    pivot and the unknowns of columns without a pivot are 0; or None when
-    rhs is not in the span of the columns.  Every division is exact: each
-    eliminated entry is a minor of the augmented matrix, and nums are the
-    Cramer numerators of the square system on the pivot rows and columns,
-    whose determinant is det."""
-    m, d = len(cols), len(rhs)
-    rows = [[col[i] for col in cols] + [rhs[i]] for i in range(d)]
-    prev = 1
+def _bareiss(rows, m):
+    """Fraction-free forward elimination (Bareiss 1968), in place, of the
+    first m columns of a list of integer rows; the columns after them ride
+    along.  Returns (pivots, det): the columns that got a pivot, in order,
+    and the last pivot times the sign of the row swaps, which is the
+    determinant when the rows are square in m and every column has a pivot.
+    Every division is exact: each eliminated entry is a minor."""
+    prev, sign = 1, 1
     pivots = []
     for col in range(m):
         k = len(pivots)
-        piv = next((r for r in range(k, d) if rows[r][col]), None)
+        piv = next((r for r in range(k, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
-        rows[k], rows[piv] = rows[piv], rows[k]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
         prow = rows[k][col:]
         p = prow[0]
         for row in rows[k + 1:]:
@@ -379,22 +439,38 @@ def _solve_int(cols, rhs):
                          for a, b in zip(row[col:], prow)]
         prev = p
         pivots.append(col)
+    return pivots, sign * prev
+
+
+def _solve_int(cols, rhs):
+    """Solve sum_j y_j * cols[j] = rhs over Q for integer vectors of one
+    length, by _bareiss and back substitution.
+
+    Returns (nums, det) with y_j = nums[j] / det, where det is the signed
+    last pivot and the unknowns of columns without a pivot are 0; or None
+    when rhs is not in the span of the columns.  nums are the Cramer
+    numerators of the square system on the pivot rows and columns, whose
+    determinant is det, so the back substitution divides exactly."""
+    m, d = len(cols), len(rhs)
+    rows = [[col[i] for col in cols] + [rhs[i]] for i in range(d)]
+    pivots, det = _bareiss(rows, m)
     if any(row[m] for row in rows[len(pivots):]):
         return None
     nums = [0] * m
     for k in range(len(pivots) - 1, -1, -1):
         row, col = rows[k], pivots[k]
-        acc = prev * row[m] - sum(row[j] * nums[j] for j in pivots[k + 1:])
+        acc = det * row[m] - sum(row[j] * nums[j] for j in pivots[k + 1:])
         nums[col] = acc // row[col]
-    return nums, prev
+    return nums, det
 
 
-def power_basis_coords(x, gen, dim):
-    """Write x as a Q-linear combination of 1, gen, .., gen^(dim-1), by exact
-    fraction-free elimination.  Returns the list of Fractions, or None when
-    x is not in the span."""
+def power_basis_coords(x, gen, dim, first=None):
+    """Write x as a Q-linear combination of first, first * gen, ..,
+    first * gen^(dim-1), by exact fraction-free elimination; first is 1
+    unless given, and then an element of x's field.  Returns the list of
+    Fractions, or None when x is not in the span."""
+    p = x.ctx.one() if first is None else first
     cols, dens = [], []
-    p = x.ctx.one()
     for _ in range(dim):
         cols.append(p.vec)
         dens.append(p.den)
@@ -533,11 +609,12 @@ def norm_invertibility_suite(r_max):
     """Invertibility certificates for the v_r roots and for 4 minus them.
 
     With p the theta class of r (p when r = 2 p^m, else 1), p / gamma is an
-    algebraic integer: its coordinates in the power basis of gamma are
-    integral, which exhibits a monic-free integer combination gamma P(gamma)
-    = p.  Same on the 4 - gamma side through the index map r -> r'.  The
-    Galois norms are checked as well (they equal p to the power
-    phi(r) / deg of the minimal polynomial)."""
+    algebraic integer: solving p = sum_j y_j gamma^(j+1) gives its
+    coordinates in the power basis of gamma, and they are integral, which
+    exhibits a monic-free integer combination gamma P(gamma) = p.  Same on
+    the 4 - gamma side through the index map r -> r'.  The Galois norms are
+    checked as well (they equal p to the power phi(r) / deg of the minimal
+    polynomial)."""
     res = SuiteResult("norm_invertibility")
     for r in range(3, r_max + 1):
         dim = euler_phi(r) // 2 if r > 2 else 1
@@ -549,12 +626,12 @@ def norm_invertibility_suite(r_max):
                       ("norm", r, k))
             res.check(galois_norm(4 - g) == Fraction(p4) ** 2,
                       ("norm4x", r, k))
-            coords = power_basis_coords(p / g, g, dim)
+            coords = power_basis_coords(g.ctx.from_int(p), g, dim, g)
             res.check(coords is not None and
                       all(c.denominator == 1 for c in coords),
                       ("integral", r, k))
             h = 4 - g
-            coords = power_basis_coords(p4 / h, h, dim)
+            coords = power_basis_coords(g.ctx.from_int(p4), h, dim, h)
             res.check(coords is not None and
                       all(c.denominator == 1 for c in coords),
                       ("integral4x", r, k))

@@ -2,8 +2,11 @@
 
 The entry type only has to support +, -, * and == against an int.  That
 covers ints, Fractions, cyclotomic elements and the sparse symbolic
-polynomials over Z.  Characteristic polynomials go through Berkowitz's
-recursion, which never divides, so they stay in the entry ring.
+polynomials over Z.  Every entry of a product, of a matrix-vector product
+and of a Krylov column is one sum_ring call, the only place that looks at
+the entry ring: over Q(zeta_N) it is the field's fused dot, reduced once
+per entry.  Characteristic polynomials go through Berkowitz's recursion,
+which never divides, so they stay in the entry ring.
 """
 
 from .upoly import UPoly
@@ -37,18 +40,9 @@ class SquareMat:
     def __mul__(self, other):
         if not isinstance(other, SquareMat):
             return NotImplemented
-        n = self.n
-        a, b = self.rows, other.rows
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = a[i][0] * b[0][j]
-                for k in range(1, n):
-                    acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            out.append(row)
-        return SquareMat(out, self.one, self.zero)
+        cols = list(zip(*other.rows))
+        return SquareMat([[sum_ring(row, col, self.zero) for col in cols]
+                          for row in self.rows], self.one, self.zero)
 
     def __add__(self, other):
         return SquareMat([[x + y for x, y in zip(r1, r2)]
@@ -155,6 +149,12 @@ class SquareMat:
 
 
 def sum_ring(row, vec, zero):
+    """zero + sum of row_k * vec_k.  Over a cyclotomic field (zero is an
+    element with a field context) this is the field's fused dot, which
+    reduces the whole sum once; any other ring adds the products in turn."""
+    ctx = getattr(zero, "ctx", None)
+    if ctx is not None:
+        return ctx.dot(row, vec)
     acc = zero
     for a, b in zip(row, vec):
         acc = acc + a * b

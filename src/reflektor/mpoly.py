@@ -45,6 +45,11 @@ class MPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes like one
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and (0, 0, 0, 0) in self.terms:
+            return hash(self.terms[(0, 0, 0, 0)])
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):

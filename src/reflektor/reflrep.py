@@ -224,7 +224,7 @@ def gnn3_rep(n, k=1):
     if gcd(k, n) != 1:
         raise ValueError("k must be coprime to n")
     if n == 2:
-        return rank3_rep("gnn3:2:1", 1, 1, 0, 0, 1)
+        return rank3_rep("gnn3:2:%d" % k, 1, 1, 0, 0, 1)
     ctx = field_ctx(n)
     l = -1 - ctx.zeta(k)
     m = -1 - ctx.zeta(-k)

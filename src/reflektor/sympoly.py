@@ -195,11 +195,16 @@ def verify_reflection_formulas(kmax=6):
         ("s1(s1s3)^n", s1, s1 * s3, s3 * s1, refl_s1s3, uB),
         ("s2(s2s3)^n", s2, s2 * s3, s3 * s2, refl_s2s3, uG),
     ]
+    top = 2 * kmax + 1
     for name, head, p, pinv, closed, seq in families:
-        for n in range(-(2 * kmax + 1), 2 * kmax + 2):
-            actual = head * (p ** n if n >= 0 else pinv ** (-n))
+        # head p^n and head pinv^n, one multiply per step
+        actual = {0: head}
+        for n in range(1, top + 1):
+            actual[n] = actual[n - 1] * p
+            actual[-n] = actual[1 - n] * pinv
+        for n in range(-top, top + 1):
             mat, vec = closed(n // 2, n % 2, seq)
-            res.check(actual == mat, (name, n))
+            res.check(actual[n] == mat, (name, n))
             img = mat.apply(vec)
             res.check(all((x + y).is_zero() for x, y in zip(img, vec)),
                       (name, n, "eigvec"))

@@ -46,6 +46,9 @@ class UPoly:
         return self.coeffs == _const(other).coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like it
+        if len(self.coeffs) < 2:
+            return hash(self.constant())
         return hash(self.coeffs)
 
     def __neg__(self):

@@ -118,6 +118,17 @@ def test_rep_delta(capsys):
     assert out.strip() == "4"
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_rep_preset_gnn3_2_keeps_the_k_asked_for(capsys, k):
+    name = "gnn3:2:%d" % k
+    code, out = run(capsys, "rep", "preset", name)
+    assert code == 0
+    assert out.splitlines()[0] == "%s: rank 3 over Q(zeta_1)" % name
+    code, out = run(capsys, "group", "order", "--preset", name, "--json")
+    assert code == 0
+    assert json.loads(out)["preset"] == name
+
+
 def test_rep_word_charpoly(capsys):
     code, out = run(capsys, "rep", "word", "h3_coxeter", "s1", "s2",
                     "--charpoly")

@@ -1,5 +1,6 @@
 """Property-based checks for the arithmetic layers."""
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
@@ -91,6 +92,102 @@ def test_lift_preserves_arithmetic(x):
     big = field_ctx(15)
     assert (x * x).lift(big) == x.lift(big) * x.lift(big)
     assert (x + 1).lift(big) == x.lift(big) + 1
+
+
+# -- the cyclotomic kernel: folded reduction, fused dot, norm ------------
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_reduce_matches_division_by_phi(n):
+    """Fold plus sparse synthetic division against the remainder of
+    UPoly division by Phi_N, for vectors up to 3N long, so the fold runs
+    more than once."""
+    ctx = field_ctx(n)
+    d = ctx.degree
+    rng = random.Random(n)
+    for length in sorted({0, 1, d - 1, d, d + 1, 2 * d - 1, n, n + 1,
+                          2 * n, 3 * n}):
+        vec = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(length)]
+        rem = divmod(UPoly(vec), ctx.phi_poly)[1].coeffs
+        assert ctx.reduce(vec) == rem + (0,) * (d - len(rem)), length
+
+
+def _scalars(n):
+    """ints, Fractions and elements of Q(zeta_n) with and without a
+    denominator, zero among them."""
+    ctx = field_ctx(n)
+    return st.one_of(st.integers(-30, 30), rationals, cyclo_elems(n),
+                     st.just(ctx.zero()), st.just(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 5, 7, 8, 12]), st.integers(0, 5), st.data())
+def test_dot_matches_sum_of_products(n, length, data):
+    ctx = field_ctx(n)
+    xs = data.draw(st.lists(_scalars(n), min_size=length, max_size=length))
+    ys = data.draw(st.lists(_scalars(n), min_size=length, max_size=length))
+    ref = ctx.zero()
+    for x, y in zip(xs, ys):
+        ref = ref + x * y
+    got = ctx.dot(xs, ys)
+    assert type(got) is CycloElem and got.ctx is ctx
+    assert (got.vec, got.den) == (ref.vec, ref.den)
+
+
+def _loop_product(a, b):
+    """The entrywise accumulation loop SquareMat.__mul__ used to run, the
+    reference for its sum_ring entries."""
+    n = a.n
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(1, n)),
+                 a.rows[i][0] * b.rows[0][j]) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["int", "fraction", 1, 5, 7, 12]),
+       st.integers(1, 4), st.data())
+def test_matrix_product_matches_entry_loop(kind, n, data):
+    entries, one, zero = _entry_ring(kind)
+    a, b = (SquareMat([data.draw(st.lists(entries, min_size=n, max_size=n))
+                       for _ in range(n)], one, zero) for _ in range(2))
+    got, ref = (a * b).rows, _loop_product(a, b)
+    assert [list(r) for r in got] == ref
+    assert [[type(x) for x in r] for r in got] == \
+        [[type(x) for x in r] for r in ref]
+
+
+def _conjugate_norm(x):
+    """The product of all Galois conjugates of x, the reference for
+    galois_norm."""
+    n = x.ctx.N
+    if n <= 2:
+        return Fraction(x.vec[0], x.den)
+    out = x.ctx.one()
+    for j in range(1, n):
+        if gcd(j, n) == 1:
+            out = out * x.galois(j)
+    return out.to_fraction()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15]).flatmap(
+    lambda n: st.one_of(cyclo_elems(n), st.just(field_ctx(n).zero()))))
+def test_galois_norm_matches_conjugate_product(x):
+    got = galois_norm(x)
+    assert type(got) is Fraction
+    assert got == _conjugate_norm(x)
+
+
+def test_constants_hash_like_the_scalars_they_equal():
+    ctx = field_ctx(5)
+    for const, scalar in [(ctx.one(), 1), (ctx.zero(), 0),
+                          (ctx.from_fraction(Fraction(-2, 3)),
+                           Fraction(-2, 3)),
+                          (MPoly.const(3), 3), (MPoly(), 0),
+                          (UPoly([3]), 3), (UPoly(), 0)]:
+        assert const == scalar
+        assert len({const, scalar}) == 1, const
+    # rational elements of two conductors are equal as their Fractions
+    assert len({ctx.from_int(2), field_ctx(7).from_int(2)}) == 1
 
 
 # -- exact division: the int kernel against the Fraction path ------------

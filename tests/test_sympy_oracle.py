@@ -56,3 +56,27 @@ def test_char_poly_matches_sympy(word):
     assert len(ours) == len(theirs) == 4
     for a, b in zip(ours, reversed(theirs)):
         assert sympy.expand(a - b) == 0
+
+
+# -- galois_norm as a resultant ------------------------------------------
+
+import random  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from reflektor.cyclo import CycloElem, field_ctx, galois_norm  # noqa: E402
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 30])
+def test_galois_norm_is_the_resultant_with_phi(n):
+    """N(a / den) = Res(Phi_N, a) / den^d for the integer polynomial a."""
+    ctx = field_ctx(n)
+    d = ctx.degree
+    rng = random.Random(n)
+    phi = sympy.Poly(list(reversed(ctx.phi_poly.coeffs)), x)
+    for _ in range(4):
+        vec = [rng.randint(-9, 9) for _ in range(d)]
+        den = rng.randint(1, 12)
+        a = sympy.Poly(list(reversed(vec)), x)
+        res = int(sympy.resultant(phi, a))
+        got = galois_norm(CycloElem(ctx, vec, den))
+        assert got == Fraction(res, den ** d), vec
