@@ -185,7 +185,7 @@ def cmd_rep(args):
         return 2
     if args.op == "preset":
         print("%s: rank %d over Q(zeta_%d)"
-              % (rep.name, rep.rank, rep.spec.conductor))
+              % (rep.name, rep.rank, rep.ctx.N))
         if args.print_gens:
             for i, g in enumerate(rep.gens):
                 print("s%d:" % (i + 1))

@@ -9,26 +9,30 @@ z^(phi(N)-1) over a single positive denominator, always gcd-normalized, so
 equality is tuple equality.
 
 The scalar kernel:
+- _parts is the one reader of an operand (an element of the same
+  conductor, or an int or Fraction as a one-entry vector); an operator
+  returns NotImplemented for any other type, and divides by a rational by
+  multiplying with its reciprocal;
 - reduction mod Phi_N first folds a vector modulo X^(N/2) + 1 (N even) or
   X^N - 1 (N odd), both multiples of Phi_N, and then runs synthetic
   division over the nonzero terms of Phi_N only;
-- a product convolves the nonzero coefficients of both operands;
-- FieldCtx.dot forms sum x_k y_k as one unreduced integer convolution over
-  the common denominator of the products, reduced and gcd-normalized once;
-  matrix products, matrix-vector products and the Krylov columns of
-  characteristic polynomials over Q(zeta_N) all go through it;
+- every product, x * y included, is a FieldCtx.dot: sum x_k y_k as one
+  convolution of the nonzero coefficients over the common denominator,
+  reduced and gcd-normalized once; matrix products, matrix-vector products
+  and Krylov columns of characteristic polynomials are longer dots;
 - the norm N(x) is the determinant of multiplication by x, taken by the
   same fraction-free elimination (Bareiss 1968) that inverts elements and
   finds power-basis coordinates.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .matrices import SquareMat
 from .report import SuiteResult
 from .upoly import (UPoly, cyclotomic_poly, euler_phi, _factorize,
-                    format_poly, n_prime, prime_power_class)
+                    format_poly, n_prime, prime_power_class, ring_pow)
 
 _CTX_CACHE = {}
 
@@ -81,15 +85,27 @@ class FieldCtx:
 
     def dot(self, xs, ys):
         """sum of x_k * y_k as an element of this field, for entries that
-        are ints, Fractions or elements of this conductor.  Every product is
-        convolved into one integer vector over the common denominator of
-        the products, which is reduced and gcd-normalized once."""
-        prods = [_parts(self, x) + _parts(self, y) for x, y in zip(xs, ys)]
-        den = lcm(*(xd * yd for _, xd, _, yd in prods))
-        out = [0] * (2 * self.degree - 1)
-        for xv, xd, yv, yd in prods:
-            s = den // (xd * yd)
-            ys_nz = [(j, s * c) for j, c in enumerate(yv) if c]
+        are ints, Fractions or elements of this conductor, or NotImplemented
+        when an entry is of any other type.  Every product is convolved into
+        one integer vector, as long as the longest product, over the common
+        denominator of the products, which is reduced and gcd-normalized
+        once."""
+        prods, den, size = [], 1, 1
+        for x, y in zip(xs, ys):
+            xp, yp = _parts(self, x), _parts(self, y)
+            if xp is None or yp is None:
+                return NotImplemented
+            (xv, xd), (yv, yd) = xp, yp
+            d = xd * yd
+            den = lcm(den, d)
+            size = max(size, len(xv) + len(yv) - 1)
+            prods.append((xv, yv, d))
+        out = [0] * size
+        for xv, yv, d in prods:
+            ys_nz = [(j, c) for j, c in enumerate(yv) if c]
+            if d != den:
+                s = den // d
+                ys_nz = [(j, s * c) for j, c in ys_nz]
             if ys_nz:
                 for i, a in enumerate(xv):
                     if a:
@@ -101,19 +117,12 @@ class FieldCtx:
         return CycloElem(self, (0,) * self.degree, 1, _raw=True)
 
     def one(self):
-        return self.from_int(1)
-
-    def from_int(self, k):
-        vec = [0] * self.degree
-        if self.degree:
-            vec[0] = k
-        return CycloElem(self, self.reduce(vec), 1)
+        return self.from_fraction(1)
 
     def from_fraction(self, q):
+        """The rational q (an int or a Fraction) as an element."""
         q = Fraction(q)
-        vec = [0] * self.degree
-        vec[0] = q.numerator
-        return CycloElem(self, self.reduce(vec), q.denominator)
+        return CycloElem(self, self.reduce((q.numerator,)), q.denominator)
 
     def zeta(self, power=1):
         power %= self.N
@@ -134,7 +143,8 @@ class FieldCtx:
 
 
 def _parts(ctx, x):
-    """(coefficient vector, denominator) of x read in ctx."""
+    """(coefficient vector, denominator) of x read in ctx, or None when x
+    is no int, Fraction or element; another conductor raises ValueError."""
     if isinstance(x, CycloElem):
         if x.ctx is not ctx and x.ctx.N != ctx.N:
             raise ValueError("mixed conductors %d and %d; lift first"
@@ -142,7 +152,9 @@ def _parts(ctx, x):
         return x.vec, x.den
     if isinstance(x, int):
         return (x,), 1
-    return (x.numerator,), x.denominator
+    if isinstance(x, Fraction):
+        return (x.numerator,), x.denominator
+    return None
 
 
 class CycloElem:
@@ -167,82 +179,54 @@ class CycloElem:
         self.vec = tuple(vec)
         self.den = den
 
-    # -- coercion -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CycloElem):
-            if other.ctx is self.ctx:
-                return other
-            if other.ctx.N == self.ctx.N:
-                return CycloElem(self.ctx, other.vec, other.den, _raw=True)
-            raise ValueError("mixed conductors %d and %d; lift first"
-                             % (self.ctx.N, other.ctx.N))
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        if isinstance(other, Fraction):
-            return self.ctx.from_fraction(other)
-        return None
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = lcm(self.den, o.den)
-        a, b = d // self.den, d // o.den
-        vec = [a * x + b * y for x, y in zip(self.vec, o.vec)]
-        return CycloElem(self.ctx, vec, d)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloElem(self.ctx, [-c for c in self.vec], self.den, _raw=True)
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def _add(self, other, sign):
+        parts = _parts(self.ctx, other)
+        if parts is None:
             return NotImplemented
-        a, b = self.vec, o.vec
-        out = [0] * (len(a) + len(b) - 1)
-        b_nz = [(j, cb) for j, cb in enumerate(b) if cb]
-        if b_nz:
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in b_nz:
-                        out[i + j] += ca * cb
-        return CycloElem(self.ctx, self.ctx.reduce(out), self.den * o.den)
+        vec, den = parts
+        d = lcm(self.den, den)
+        a, b = d // self.den, sign * d // den
+        return CycloElem(self.ctx, [a * x + b * y for x, y in
+                                    zip_longest(self.vec, vec, fillvalue=0)],
+                         d)
+
+    def __neg__(self):
+        return CycloElem(self.ctx, [-c for c in self.vec], self.den, _raw=True)
+
+    def __mul__(self, other):
+        return self.ctx.dot((self,), (other,))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = _parts(self.ctx, other)
+        if parts is None:
             return NotImplemented
-        return self * o.inverse()
+        vec, den = parts
+        if len(vec) > 1:
+            return self * other.inverse()
+        # an int, a Fraction or an element of degree 1: use the reciprocal
+        return self * Fraction(den, vec[0])
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = self.ctx.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_pow(base, abs(n), self.ctx.one())
 
     def inverse(self):
         if self.is_zero():
@@ -267,10 +251,12 @@ class CycloElem:
         if isinstance(other, CycloElem) and other.ctx.N != self.ctx.N \
                 and self.is_rational() and other.is_rational():
             return self.to_fraction() == other.to_fraction()
-        o = self._coerce(other)
-        if o is None:
+        parts = _parts(self.ctx, other)
+        if parts is None:
             return NotImplemented
-        return self.vec == o.vec and self.den == o.den
+        vec, den = parts
+        return self.den == den and \
+            self.vec == vec + (0,) * (len(self.vec) - len(vec))
 
     def __hash__(self):
         # a rational element equals its Fraction, so it hashes like one
@@ -469,32 +455,35 @@ def power_basis_coords(x, gen, dim, first=None):
     first * gen^(dim-1), by exact fraction-free elimination; first is 1
     unless given, and then an element of x's field.  Returns the list of
     Fractions, or None when x is not in the span."""
-    p = x.ctx.one() if first is None else first
-    cols, dens = [], []
-    for _ in range(dim):
-        cols.append(p.vec)
-        dens.append(p.den)
-        p = p * gen
+    powers = [x.ctx.one() if first is None else first] if dim else []
+    for _ in range(dim - 1):
+        powers.append(powers[-1] * gen)
     # column j holds den_j * gen^j, so coordinate j is den_j * y_j
-    sol = _solve_int(cols, x.vec)
+    sol = _solve_int([p.vec for p in powers], x.vec)
     if sol is None:
         return None
     nums, det = sol
-    return [Fraction(dj * c, det * x.den) for dj, c in zip(dens, nums)]
+    return [Fraction(p.den * c, det * x.den) for p, c in zip(powers, nums)]
 
 
 # -- quadratic extensions a^2 = phi a +/- 1 ----------------------------
 
 def quad_pow(phi, sign, n):
     """a^n as a pair (coefficient of a, constant), for any integer n: the
-    second column of M^n, where M = [[phi, 1], [sign, 0]] is multiplication
-    by a on (coefficient of a, constant).  Negative powers invert M, so phi
-    must then support true division (a Fraction or a CycloElem)."""
+    second column of M^|n|, where M = [[phi, 1], [sign, 0]] is
+    multiplication by a on (coefficient of a, constant) and, for n < 0,
+    M^-1 = [[0, sign], [1, -sign phi]] is multiplication by a^-1 = sign
+    (a - phi).  Nothing divides, so phi may live in any ring (an int, a
+    Fraction, a CycloElem or an MPoly)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     one = phi - phi + 1  # one in whatever ring phi lives in
     zero = phi - phi
-    rows = (SquareMat([[phi, one], [sign * one, zero]], one, zero) ** n).rows
+    if n >= 0:
+        rows = [[phi, one], [sign * one, zero]]
+    else:
+        rows = [[zero, sign * one], [one, -sign * phi]]
+    rows = (SquareMat(rows, one, zero) ** abs(n)).rows
     return (rows[0][1], rows[1][1])
 
 
@@ -626,12 +615,12 @@ def norm_invertibility_suite(r_max):
                       ("norm", r, k))
             res.check(galois_norm(4 - g) == Fraction(p4) ** 2,
                       ("norm4x", r, k))
-            coords = power_basis_coords(g.ctx.from_int(p), g, dim, g)
+            coords = power_basis_coords(g.ctx.from_fraction(p), g, dim, g)
             res.check(coords is not None and
                       all(c.denominator == 1 for c in coords),
                       ("integral", r, k))
             h = 4 - g
-            coords = power_basis_coords(g.ctx.from_int(p4), h, dim, h)
+            coords = power_basis_coords(g.ctx.from_fraction(p4), h, dim, h)
             res.check(coords is not None and
                       all(c.denominator == 1 for c in coords),
                       ("integral4x", r, k))

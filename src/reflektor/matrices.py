@@ -5,11 +5,13 @@ covers ints, Fractions, cyclotomic elements and the sparse symbolic
 polynomials over Z.  Every entry of a product, of a matrix-vector product
 and of a Krylov column is one sum_ring call, the only place that looks at
 the entry ring: over Q(zeta_N) it is the field's fused dot, reduced once
-per entry.  Characteristic polynomials go through Berkowitz's recursion,
-which never divides, so they stay in the entry ring.
+per entry.  Nothing here divides: powers are ring_pow from the identity,
+so a negative power raises ValueError (the inverse of a word in
+reflections is the reversed word), and characteristic polynomials go
+through Berkowitz's recursion, so they stay in the entry ring.
 """
 
-from .upoly import UPoly
+from .upoly import UPoly, ring_pow
 
 
 class SquareMat:
@@ -49,26 +51,9 @@ class SquareMat:
                           for r1, r2 in zip(self.rows, other.rows)],
                          self.one, self.zero)
 
-    def __sub__(self, other):
-        return SquareMat([[x - y for x, y in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)],
-                         self.one, self.zero)
-
-    def __neg__(self):
-        return SquareMat([[-x for x in r] for r in self.rows],
-                         self.one, self.zero)
-
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = SquareMat.identity(self.n, self.one, self.zero)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return ring_pow(self, k, SquareMat.identity(self.n, self.one,
+                                                    self.zero))
 
     def trace(self):
         acc = self.rows[0][0]
@@ -118,27 +103,6 @@ class SquareMat:
                     nxt[j] = nxt[j] + t * cp[i]
             cp = nxt
         return UPoly(cp[::-1])
-
-    def inverse(self):
-        """Gauss-Jordan inverse; entries must support true division."""
-        n = self.n
-        a = [list(r) for r in self.rows]
-        b = [list(r) for r in SquareMat.identity(n, self.one, self.zero).rows]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            b[col] = [x / pv for x in b[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return SquareMat(b, self.one, self.zero)
 
     def apply(self, vec):
         return [sum_ring(row, vec, self.zero) for row in self.rows]

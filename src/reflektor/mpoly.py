@@ -5,6 +5,8 @@ and any other scalar operand raises TypeError.  Ring ops and a fraction-free
 pseudo-remainder (for the conditional factorizations) are all it needs.
 """
 
+from .upoly import ring_pow
+
 VAR_NAMES = ("alpha", "beta", "l", "m")
 NVARS = 4
 
@@ -111,16 +113,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_pow(self, n, MPoly.const(1))
 
     def degree_in(self, var):
         return max((e[var] for e in self.terms), default=-1)

@@ -24,11 +24,10 @@ _PRESET_DATA = None
 
 
 class DiagramSpec:
-    def __init__(self, rank, edges, conductor=1):
+    def __init__(self, rank, edges):
         """edges: dict {(i, j): (k_ij, k_ji)} with 1 <= i < j <= rank."""
         self.rank = rank
         self.edges = dict(edges)
-        self.conductor = conductor
         for (i, j) in self.edges:
             if not (1 <= i < j <= rank):
                 raise ValueError("bad edge (%d, %d)" % (i, j))
@@ -79,8 +78,7 @@ class ReflectionRep:
         self.name = name
         self.spec = DiagramSpec(
             spec.rank, {e: (to_field(kij, ctx), to_field(kji, ctx))
-                        for e, (kij, kji) in spec.edges.items()},
-            spec.conductor)
+                        for e, (kij, kji) in spec.edges.items()})
         self.ctx = ctx
         self.gens = build_generators(self.spec, ctx.one(), ctx.zero())
         for i, s in enumerate(self.gens):
@@ -177,13 +175,12 @@ def preset(name):
     edges = {}
     for i, j, kij, kji in info["edges"]:
         edges[(i, j)] = (_json_scalar(ctx, kij), _json_scalar(ctx, kji))
-    spec = DiagramSpec(info["rank"], edges, conductor=info["conductor"])
+    spec = DiagramSpec(info["rank"], edges)
     return ReflectionRep(name, spec, ctx)
 
 
 def rank3_rep(name, alpha, beta, l, m, conductor):
-    spec = DiagramSpec(3, rank3_edges(alpha, beta, l, m, 1),
-                       conductor=conductor)
+    spec = DiagramSpec(3, rank3_edges(alpha, beta, l, m, 1))
     return ReflectionRep(name, spec, field_ctx(conductor))
 
 
@@ -196,11 +193,11 @@ def circuit_rep(p, n):
     if n < 3:
         raise ValueError("need rank >= 3")
     ctx = field_ctx(p)
-    l = ctx.from_int(-1) if p == 2 else ctx.zeta(1)
-    m = ctx.from_int(-1) if p == 2 else ctx.zeta(-1)
+    l = ctx.from_fraction(-1) if p == 2 else ctx.zeta(1)
+    m = ctx.from_fraction(-1) if p == 2 else ctx.zeta(-1)
     edges = {(i, i + 1): (1, 1) for i in range(1, n)}
     edges[(1, n)] = (l, m)
-    spec = DiagramSpec(n, edges, conductor=p)
+    spec = DiagramSpec(n, edges)
     return ReflectionRep("gppn:%d:%d" % (p, n), spec, ctx)
 
 
@@ -211,7 +208,7 @@ def affine_circuit_rep(n):
     ctx = field_ctx(1)
     edges = {(i, i + 1): (1, 1) for i in range(1, n)}
     edges[(1, n)] = (1, 1)
-    spec = DiagramSpec(n, edges, conductor=1)
+    spec = DiagramSpec(n, edges)
     return ReflectionRep("atilde:%d" % n, spec, ctx)
 
 

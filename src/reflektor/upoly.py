@@ -19,6 +19,22 @@ def _const(c):
     return c if isinstance(c, UPoly) else UPoly([c])
 
 
+def ring_pow(base, n, one):
+    """base^n for an int n >= 0 in any ring with *, by binary powering from
+    one; the last squaring, past the top bit of n, is skipped.  Every ring
+    of the package (UPoly, MPoly, CycloElem, SquareMat) powers through it."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class UPoly:
     __slots__ = ("coeffs",)
 
@@ -85,16 +101,7 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_pow(self, n, UPoly([1]))
 
     def __divmod__(self, other):
         """Quotient and remainder by synthetic division in ints: every

@@ -129,6 +129,16 @@ def test_rep_preset_gnn3_2_keeps_the_k_asked_for(capsys, k):
     assert json.loads(out)["preset"] == name
 
 
+@pytest.mark.parametrize("name, header", [
+    ("g27_a", "g27_a: rank 3 over Q(zeta_15)"),
+    ("gppn:3:4", "gppn:3:4: rank 4 over Q(zeta_3)"),
+])
+def test_rep_preset_names_the_field(capsys, name, header):
+    code, out = run(capsys, "rep", "preset", name)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
 def test_rep_word_charpoly(capsys):
     code, out = run(capsys, "rep", "word", "h3_coxeter", "s1", "s2",
                     "--charpoly")

@@ -1,12 +1,14 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
-from reflektor.cyclo import (field_ctx, to_field, root_of_v, sqrt_root,
-                             named_constant, galois_norm, power_basis_coords,
-                             quad_pow, quad_pow_closed, root_identity_suite,
-                             norm_invertibility_suite, quad_power_suite,
-                             classification_search)
+from reflektor.cyclo import (CycloElem, field_ctx, to_field, root_of_v,
+                             sqrt_root, named_constant, galois_norm,
+                             power_basis_coords, quad_pow, quad_pow_closed,
+                             root_identity_suite, norm_invertibility_suite,
+                             quad_power_suite, classification_search)
+from reflektor.mpoly import ALPHA
 from reflektor.upoly import v_poly, u_poly, euler_phi
 
 
@@ -41,14 +43,14 @@ def _tau15():
 
 
 @pytest.mark.parametrize("x, n, expect", [
-    (3, 5, lambda: field_ctx(5).from_int(3)),
+    (3, 5, lambda: field_ctx(5).from_fraction(3)),
     (Fraction(-2, 3), 7, lambda: field_ctx(7).from_fraction(Fraction(-2, 3))),
     # the same conductor keeps the element
     (field_ctx(5).zeta(2), 5, lambda: field_ctx(5).zeta(2)),
     # 5 | 15 lifts: 4 cos^2(pi/5) = zeta_15^3 + zeta_15^-3 + 2
     (root_of_v(5, 1), 15, _tau15),
     # root_of_v(4, 1) = 2 is rational, so 4 need not divide 5
-    (root_of_v(4, 1), 5, lambda: field_ctx(5).from_int(2)),
+    (root_of_v(4, 1), 5, lambda: field_ctx(5).from_fraction(2)),
     # an irrational element whose conductor does not divide is refused
     (root_of_v(5, 1), 7, ValueError),
 ])
@@ -129,11 +131,52 @@ def test_power_basis_coords_rank_deficient():
 
 
 def test_quad_pow_matches_closed_form():
-    ctx = field_ctx(5)
     phi = root_of_v(5, 1) - 2  # sqrt(5) shifted: phi = tau - 2
     for sign in (1, -1):
-        for n in range(0, 12):
+        for n in range(-12, 12):
             assert quad_pow(phi, sign, n) == quad_pow_closed(phi, sign, n)
+    # negative powers divide nothing, so a symbolic phi works as well
+    for sign in (1, -1):
+        for n in range(-6, 7):
+            got = quad_pow(ALPHA, sign, n)
+            ref = quad_pow_closed(ALPHA, sign, n)
+            assert all((x - y).is_zero() for x, y in zip(got, ref)), n
+
+
+def test_power_basis_coords_multiplies_dim_minus_one_times(monkeypatch):
+    calls = []
+    mul = CycloElem.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    g = root_of_v(7, 1)
+    x = g * g + 2
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    for dim in (1, 2, 3):
+        calls.clear()
+        power_basis_coords(x, g, dim, g)
+        assert len(calls) == dim - 1
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_bad_operands(op):
+    x = root_of_v(5, 1)
+    # a float is no operand of an exact field
+    with pytest.raises(TypeError):
+        op(x, 0.5)
+    with pytest.raises(TypeError):
+        op(0.5, x)
+    # an irrational element of another conductor must be lifted first
+    for y in (root_of_v(7, 1), field_ctx(12).zeta(1)):
+        with pytest.raises(ValueError, match="lift first"):
+            op(x, y)
+        with pytest.raises(ValueError, match="lift first"):
+            op(y, x)
+    with pytest.raises(ValueError, match="lift first"):
+        x == root_of_v(7, 1)
 
 
 def test_root_identity_suite_small():

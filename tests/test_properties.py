@@ -1,5 +1,6 @@
 """Property-based checks for the arithmetic layers."""
 
+import operator
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -94,6 +95,27 @@ def test_lift_preserves_arithmetic(x):
     assert (x + 1).lift(big) == x.lift(big) + 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 5, 7, 12]),
+       st.one_of(st.integers(-30, 30), rationals), st.data())
+def test_rational_operands_act_as_field_constants(n, q, data):
+    ctx = field_ctx(n)
+    qx = ctx.from_fraction(q)
+    x = data.draw(st.one_of(cyclo_elems(n), rationals.map(ctx.from_fraction),
+                            st.just(qx), st.just(ctx.zero())))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        pairs = []
+        if op is not operator.truediv or q != 0:
+            pairs.append((op(x, q), op(x, qx)))
+        if op is not operator.truediv or not x.is_zero():
+            pairs.append((op(q, x), op(qx, x)))
+        for got, ref in pairs:
+            assert type(got) is CycloElem and got.ctx.N == n
+            assert (got.vec, got.den) == (ref.vec, ref.den)
+    expect = x.is_rational() and x.to_fraction() == q
+    assert (x == q) == expect and (q == x) == expect
+
+
 # -- the cyclotomic kernel: folded reduction, fused dot, norm ------------
 
 @pytest.mark.parametrize("n", range(1, 65))
@@ -155,6 +177,14 @@ def test_matrix_product_matches_entry_loop(kind, n, data):
         [[type(x) for x in r] for r in ref]
 
 
+def test_negative_matrix_power_is_refused():
+    rep = preset("g27_a")
+    with pytest.raises(ValueError):
+        rep.gens[0] ** -1
+    # a reflection word inverts by reversal instead
+    assert (rep.word([1, 2, 3]) * rep.word([3, 2, 1])).is_identity()
+
+
 def _conjugate_norm(x):
     """The product of all Galois conjugates of x, the reference for
     galois_norm."""
@@ -187,7 +217,7 @@ def test_constants_hash_like_the_scalars_they_equal():
         assert const == scalar
         assert len({const, scalar}) == 1, const
     # rational elements of two conductors are equal as their Fractions
-    assert len({ctx.from_int(2), field_ctx(7).from_int(2)}) == 1
+    assert len({ctx.from_fraction(2), field_ctx(7).from_fraction(2)}) == 1
 
 
 # -- exact division: the int kernel against the Fraction path ------------
@@ -538,7 +568,7 @@ def test_demonstrated_int64_wrap_now_raises():
     # a generator row (2^24, 1) the true entry (2^40 - 1)(2^24 + 1) =
     # 18446745173204402175 wraps in int64 to 1099494850559
     ctx = field_ctx(1)
-    rows = [[ctx.from_int(1 << 24), ctx.one()], [ctx.zero(), ctx.one()]]
+    rows = [[ctx.from_fraction(1 << 24), ctx.one()], [ctx.zero(), ctx.one()]]
     rep = regular_rep(rows, ctx)
     batch = np.full((1, 2, 2), (1 << 40) - 1, dtype=np.int64)
     assert int(np.matmul(rep[0], batch)[0, 0, 0]) == 1099494850559
