@@ -46,11 +46,6 @@ class SquareMat:
         return SquareMat([[sum_ring(row, col, self.zero) for col in cols]
                           for row in self.rows], self.one, self.zero)
 
-    def __add__(self, other):
-        return SquareMat([[x + y for x, y in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)],
-                         self.one, self.zero)
-
     def __pow__(self, k):
         return ring_pow(self, k, SquareMat.identity(self.n, self.one,
                                                     self.zero))

@@ -6,22 +6,16 @@ a_j + k_ij a_i (and negates a_i).  Matrices act on coordinate columns and a
 word s_{i1} s_{i2} ... multiplies left to right.  Tree edges are decorated
 (C, 1); the single cycle edge, when there is one, carries the pair (l, m).
 
-Fixed presets live in presets.json next to this module; the parameterized
-families (the circuit diagrams and the n-indexed rank-3 family) are built
-in code.
+Fixed presets are one table of small builders, _PRESETS, run when a preset
+is asked for; the parameterized families (the circuit diagrams and the
+n-indexed rank-3 family) are built in code.
 """
 
-import json
-import os
 from math import gcd
 
-from .cyclo import CycloElem, field_ctx, to_field
+from .cyclo import field_ctx, named_constant, to_field
 from .matrices import SquareMat, mat_word, pair_C
 from .upoly import v_poly
-
-_PRESET_PATH = os.path.join(os.path.dirname(__file__), "presets.json")
-_PRESET_DATA = None
-
 
 class DiagramSpec:
     def __init__(self, rank, edges):
@@ -102,14 +96,18 @@ class ReflectionRep:
 
     def edge_constants(self):
         """For rank 3: (alpha, beta, l, m) in the fixed layout
-        alpha = k_12, beta = k_13, (l, m) on {2, 3}."""
+        alpha = k_12, beta = k_13, (l, m) on {2, 3}; ValueError unless
+        k_21 = k_31 = 1, since delta and theta read no other layout."""
         if self.rank != 3:
             raise ValueError("%s has rank %d; the edge constants and delta "
                              "need rank 3" % (self.name, self.rank))
         absent = (self.ctx.zero(), self.ctx.zero())
-        edges = self.spec.edges
-        l, m = edges.get((2, 3), absent)
-        return edges.get((1, 2), absent)[0], edges.get((1, 3), absent)[0], l, m
+        (a, k21), (b, k31), (l, m) = (self.spec.edges.get(e, absent)
+                                      for e in ((1, 2), (1, 3), (2, 3)))
+        if k21 != 1 or k31 != 1:
+            raise ValueError("%s has k_21 or k_31 other than 1; the edge "
+                             "constants and delta need it" % self.name)
+        return a, b, l, m
 
     def delta(self):
         return delta(*self.edge_constants())
@@ -132,35 +130,67 @@ class ReflectionRep:
 
 # -- preset catalog ----------------------------------------------------
 
-def _load_presets():
-    global _PRESET_DATA
-    if _PRESET_DATA is None:
-        with open(_PRESET_PATH) as fh:
-            _PRESET_DATA = json.load(fh)
-        if _PRESET_DATA.get("version") != 1:
-            raise RuntimeError("unsupported presets.json version")
-    return _PRESET_DATA
+# The named_constant arguments of the builders over each conductor.
+_CONSTANTS = {1: (), 5: ("tau",), 7: ("zeta7_half",), 15: ("tau", "omega")}
+
+# name -> (conductor, rank, builder).  A rank-3 builder returns
+# (alpha, beta, l, m) for rank3_rep; a rank-4 builder returns the edges
+# {(i, j): (k_ij, k_ji)}.  The comments give the orders of s1 s2, s1 s3 and
+# s2 s3 (or the chain or triangle) and the group order.
+_PRESETS = {
+    # W(H3) over Q(zeta_5), t = tau = (3 + sqrt5)/2: order 120
+    "h3_coxeter": (5, 3, lambda t: (1, t, 0, 0)),  # (3,5,2) chain
+    "h3_552": (5, 3, lambda t: (t, 3 - t, 0, 0)),  # (5,5,2) chain
+    "h3_335": (5, 3, lambda t: (1, 1, 1 - t, 1 - t)),  # (3,3,5), gamma = t
+    "h3_553a": (5, 3, lambda t: (t, t, -1, -1)),  # (5,5,3), gamma = 1
+    "h3_553b": (5, 3, lambda t: (t, 3 - t, t - 3, -t)),  # (5,5,3), other
+    "h3_555": (5, 3, lambda t: (t, t, 1 - t, 1 - t)),  # (5,5,5), gamma = t
+    # small rational cycles with gamma = 1
+    "cor9_a3": (1, 3, lambda: (1, 1, -1, -1)),  # (3,3,3): S4, order 24
+    "cor9_b3": (1, 3, lambda: (2, 2, -1, -1)),  # (4,4,3): B3, order 48
+    "cor9_g2t": (1, 3, lambda: (3, 3, -1, -1)),  # (6,6,3): affine, infinite
+    # W(H4) over Q(zeta_5): order 14400
+    "h4_1": (5, 4, lambda t: {  # chain 3-3-5
+        (1, 2): (1, 1), (2, 3): (1, 1), (3, 4): (t, 1)}),
+    "h4_2": (5, 4, lambda t: {  # chain 3-5-5
+        (1, 2): (1, 1), (2, 3): (t, 1), (3, 4): (3 - t, 1)}),
+    "h4_3": (5, 4, lambda t: {  # triangle on s2 s3 s4, gamma = t
+        (1, 2): (1, 1), (2, 3): (1, 1), (2, 4): (t, 1), (3, 4): (-t, -1)}),
+    "h4_4": (5, 4, lambda t: {  # triangle on s2 s3 s4, gamma = 3 - t
+        (1, 2): (1, 1), (2, 3): (1, 1), (2, 4): (t, 1), (3, 4): (-1, t - 3)}),
+    "h4_5": (5, 4, lambda t: {  # triangle on s2 s3 s4, gamma = t
+        (1, 2): (1, 1), (2, 3): (1, 1), (2, 4): (1, 1),
+        (3, 4): (1 - t, 1 - t)}),
+    "h4_oracle": (5, 4, lambda t: {  # symmetric chain 3-3-5, a cross-check
+        (1, 2): (1, 1), (2, 3): (1, 1), (3, 4): (t - 1, t - 1)}),
+    # G24 over Q(zeta_7), z = (1 + i sqrt7)/2, a root of X^2 - X + 2: 336
+    "g24_334": (7, 3, lambda z: (1, 1, -z, z - 1)),  # gamma = 2
+    "g24_443": (7, 3, lambda z: (2, 2, (z - 2) / 2, (-1 - z) / 2)),  # 1
+    "g24_444": (7, 3, lambda z: (2, 2, (-2 - z) / 2, (z - 3) / 2)),  # 2
+    # G27 over Q(zeta_15), t = tau and w = omega = zeta_3: order 2160
+    "g27_a": (15, 3, lambda t, w: (  # (3,3,5), gamma = t
+        1, 1, w * (t - 1), w * w * (t - 1))),
+    "g27_b": (15, 3, lambda t, w: (  # (3,4,5), gamma = t
+        1, 2, -w - t, (-w * w - t) / 2)),
+    "g27_c": (15, 3, lambda t, w: (  # (3,4,5), the other decoration
+        1, 2, w * w + w * t, (w + w * w * t) / 2)),
+    "g27_d": (15, 3, lambda t, w: (  # (5,5,3), gamma = 1
+        t, 3 - t, w * (3 - t), w * w * t)),
+    "g27_e": (15, 3, lambda t, w: (  # (5,5,4), gamma = 2
+        t, t, w * (t - 1) + w * w, w * w * (t - 1) + w)),
+    "g27_f": (15, 3, lambda t, w: (  # (4,4,5), gamma = t
+        2, 2, (w - t) / 2, (w * w - t) / 2)),
+    "g27_g": (15, 3, lambda t, w: (  # (3,3,4), gamma = 2
+        1, 1, w * (t - 1) + w * w, w * w * (t - 1) + w)),
+}
 
 
 def preset_names():
-    data = _load_presets()
-    return sorted(data["presets"])
-
-
-def preset_info(name):
-    data = _load_presets()
-    if name not in data["presets"]:
-        raise KeyError("unknown preset %r" % (name,))
-    return data["presets"][name]
-
-
-def _json_scalar(ctx, data):
-    den, vec = data
-    return CycloElem(ctx, vec, den)
+    return sorted(_PRESETS)
 
 
 def preset(name):
-    """Build a representation by name.  Fixed names come from presets.json;
+    """Build a representation by name.  Fixed names come from _PRESETS;
     parameterized families are spelled gppn:p:n, gnn3:n[:k] and atilde:n."""
     if ":" in name:
         head, *args = name.split(":")
@@ -170,13 +200,14 @@ def preset(name):
         if len(args) not in arities:
             raise ValueError("%r: the family is spelled %s" % (name, spelling))
         return build(*[int(a) for a in args])
-    info = preset_info(name)
-    ctx = field_ctx(info["conductor"])
-    edges = {}
-    for i, j, kij, kji in info["edges"]:
-        edges[(i, j)] = (_json_scalar(ctx, kij), _json_scalar(ctx, kji))
-    spec = DiagramSpec(info["rank"], edges)
-    return ReflectionRep(name, spec, ctx)
+    if name not in _PRESETS:
+        raise KeyError("unknown preset %r" % (name,))
+    conductor, rank, build = _PRESETS[name]
+    made = build(*[named_constant(c, conductor)
+                   for c in _CONSTANTS[conductor]])
+    if rank == 3:
+        return rank3_rep(name, *made, conductor)
+    return ReflectionRep(name, DiagramSpec(4, made), field_ctx(conductor))
 
 
 def rank3_rep(name, alpha, beta, l, m, conductor):

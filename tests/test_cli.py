@@ -223,6 +223,10 @@ BAD_INPUT = [
     ["group", "order", "--preset", "gppn:1:3"],
     ["group", "order", "--preset", "gnn3:2:2"],
     ["rep", "delta", "h4_1"],
+    ["rep", "delta", "gppn:3:3"],
+    ["rep", "delta", "gppn:2:3"],
+    ["rep", "preset", "h5_coxeter"],
+    ["group", "order", "--preset", "h4_1:2"],
     ["field", "root-of-v", "2"],
     ["field", "root-of-v", "6", "2"],
     ["upoly", "v", "0"],

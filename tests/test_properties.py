@@ -404,10 +404,10 @@ def _faddeev_char_poly(mat):
         ck = mk.trace() * Fraction(-1, k)
         cs.append(ck)
         if k < n:
-            shift = SquareMat([[ck * one if i == j else ck * zero
-                                for j in range(n)] for i in range(n)],
-                              one, zero)
-            mk = mat * (mk + shift)
+            shifted = SquareMat([[x + ck * one if i == j else x + ck * zero
+                                  for j, x in enumerate(row)]
+                                 for i, row in enumerate(mk.rows)], one, zero)
+            mk = mat * shifted
     cs = cs[::-1] + [one]
     return _upoly_of(cs) if ints else UPoly(cs)
 

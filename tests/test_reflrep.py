@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from reflektor.cyclo import field_ctx, named_constant, root_of_v
 from reflektor.reflrep import (DiagramSpec, ReflectionRep, build_generators,
-                               preset, preset_names, preset_info, rank3_rep,
+                               preset, preset_names, rank3_rep,
                                circuit_rep, affine_circuit_rep, gnn3_rep)
 from reflektor.engine import element_order
 from reflektor.matrices import pair_C
@@ -14,8 +16,18 @@ def test_preset_catalog_loads():
     assert "g24_334" in names
     assert "g27_a" in names
     for name in names:
-        info = preset_info(name)
-        assert info["rank"] in (3, 4)
+        assert preset(name).rank in (3, 4)
+
+
+def test_preset_catalog_digest():
+    # the generators of every fixed preset, exactly; a changed weight or a
+    # changed field in the table changes the digest
+    cat = [(name, rep.rank, rep.ctx.N,
+            [[(x.den, x.vec) for x in row]
+             for g in rep.gens for row in g.rows])
+           for name in preset_names() for rep in [preset(name)]]
+    assert hashlib.sha256(repr(cat).encode()).hexdigest() == (
+        "2b3ecc85e647f600b5df9fe0512bdcfb6f82329e0ece364aa0202cf77782eff8")
 
 
 def test_unknown_preset():
