@@ -169,18 +169,22 @@ def cmd_field(args):
     return 0
 
 
-def _load_rep(name):
+def _load_rep(name, command):
+    """preset(name), or None after reporting why not under command's name;
+    the known presets are listed only when the name or family is unknown."""
     try:
         return preset(name)
-    except (KeyError, ValueError) as exc:
-        print("rep: %s" % exc, file=sys.stderr)
+    except KeyError as exc:
+        _bad_input(command, exc.args[0])
         print("known presets: %s" % ", ".join(preset_names()),
               file=sys.stderr)
-        return None
+    except ValueError as exc:
+        _bad_input(command, exc)
+    return None
 
 
 def cmd_rep(args):
-    rep = _load_rep(args.name)
+    rep = _load_rep(args.name, "rep")
     if rep is None:
         return 2
     if args.op == "preset":
@@ -213,7 +217,7 @@ def cmd_rep(args):
 
 
 def cmd_group(args):
-    rep = _load_rep(args.preset)
+    rep = _load_rep(args.preset, "group")
     if rep is None:
         return 2
     if args.op == "order":

@@ -11,6 +11,7 @@ is asked for; the parameterized families (the circuit diagrams and the
 n-indexed rank-3 family) are built in code.
 """
 
+import re
 from math import gcd
 
 from .cyclo import field_ctx, named_constant, to_field
@@ -197,7 +198,8 @@ def preset(name):
         if head not in _FAMILIES:
             raise KeyError("unknown parameterized preset family %r" % (head,))
         build, arities, spelling = _FAMILIES[head]
-        if len(args) not in arities:
+        if len(args) not in arities or not all(
+                re.fullmatch(r"-?\d+", a) for a in args):
             raise ValueError("%r: the family is spelled %s" % (name, spelling))
         return build(*[int(a) for a in args])
     if name not in _PRESETS:

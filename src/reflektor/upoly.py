@@ -12,7 +12,6 @@ factors.
 """
 
 from functools import lru_cache
-from math import comb
 
 
 def _const(c):
@@ -192,24 +191,22 @@ def u_poly(n):
     """n-th member of the family: u_1 = u_2 = 1, u_3 = X - 1, u_4 = X - 2,
     u_5 = X^2 - 3X + 1, ...; u_0 = 0 and u_{-n} = -u_n.
 
-    Built from the closed binomial form, one coefficient per term.
+    Built from the closed binomial form: with a = n - 1 and m = a // 2,
+    the coefficient of X^(m-k) is (-1)^k C(a-k, k).  Each binomial comes
+    from the one before by the exact ratio
+    C(a-k-1, k+1) / C(a-k, k) = (a-2k)(a-2k-1) / ((k+1)(a-k)).
     """
     if n < 0:
         return -u_poly(-n)
     if n == 0:
         return UPoly()
-    if n % 2 == 1:
-        # n = 2m+1: coefficients C(2m-k, k) alternating, degree m
-        m = (n - 1) // 2
-        cs = [0] * (m + 1)
-        for k in range(m + 1):
-            cs[m - k] = (-1) ** k * comb(2 * m - k, k)
-        return UPoly(cs)
-    # n = 2m+2: coefficients C(2m+1-k, k) alternating, degree m
-    m = (n - 2) // 2
-    cs = [0] * (m + 1)
-    for k in range(m + 1):
-        cs[m - k] = (-1) ** k * comb(2 * m + 1 - k, k)
+    a = n - 1
+    m = a // 2
+    cs = [1] * (m + 1)
+    b = 1
+    for k in range(m):
+        b = b * (a - 2 * k) * (a - 2 * k - 1) // ((k + 1) * (a - k))
+        cs[m - 1 - k] = b if k % 2 else -b
     return UPoly(cs)
 
 

@@ -212,6 +212,38 @@ def test_relation_rejects_letter_outside_rank(capsys):
     assert captured.err.strip() == "group: no generator s0 (have s1..s3)"
 
 
+# argv, first stderr line, whether the known presets are listed after it
+LOOKUP_ERRORS = [
+    (["group", "order", "--preset", "no_such_name"],
+     "group: unknown preset 'no_such_name'", True),
+    (["rep", "preset", "no_such_name"],
+     "rep: unknown preset 'no_such_name'", True),
+    (["rep", "word", "nope:3", "s1"],
+     "rep: unknown parameterized preset family 'nope'", True),
+    (["group", "order", "--preset", "gppn:1:3"],
+     "group: need p >= 2 (gppn:1:n would be the affine atilde:n)", False),
+    (["rep", "preset", "gppn:x:3"],
+     "rep: 'gppn:x:3': the family is spelled gppn:p:n", False),
+    (["group", "relation", "--preset", "gnn3:4:1:1", "--eq", "s1"],
+     "group: 'gnn3:4:1:1': the family is spelled gnn3:n[:k]", False),
+]
+
+
+@pytest.mark.parametrize("argv,first,lists", LOOKUP_ERRORS,
+                         ids=[" ".join(case[0]) for case in LOOKUP_ERRORS])
+def test_preset_lookup_errors_name_the_command(capsys, argv, first, lists):
+    # presets are listed only when the name or the family is unknown
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == first
+    assert len(lines) == (2 if lists else 1)
+    if lists:
+        assert lines[1].startswith("known presets: cor9_a3, cor9_b3, ")
+
+
 BAD_INPUT = [
     ["rep", "word", "h3_coxeter", "s1", "s9"],
     ["group", "element-order", "--preset", "h3_coxeter", "--word", "s4"],

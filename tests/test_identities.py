@@ -3,12 +3,13 @@ from itertools import product
 
 import pytest
 
+from reflektor import identities
 from reflektor.identities import (IDENTITIES, ALL_TAGS, FOUR_MINUS_X, Ring,
                                   MAJORANT, certify, check_identity,
                                   check_all_identities, factorization_check,
                                   kronecker_bits, kronecker_ring,
                                   theta_v_check, reflection_map_check)
-from reflektor.upoly import UPoly, X, u_poly, v_poly
+from reflektor.upoly import UPoly, X, u_poly, v_poly, theta
 
 # the catalog in UPoly arithmetic: the slow path the certificate replaces
 UPOLY = Ring(u_poly, X, FOUR_MINUS_X,
@@ -138,6 +139,23 @@ def test_factorization_small():
 def test_theta_v_small():
     rep = theta_v_check(120)
     assert rep.passed, rep.failures
+
+
+def test_theta_v_constant_terms_match_the_built_factors(monkeypatch):
+    # the Moebius product of constant terms against v_n built by division
+    monkeypatch.setattr(identities, "prime_power_class",
+                        lambda n: theta(v_poly(n)))
+    rep = theta_v_check(200)
+    assert rep.passed, rep.records
+
+
+def test_theta_v_lists_an_n_whose_class_is_wrong(monkeypatch):
+    right = identities.prime_power_class
+    monkeypatch.setattr(identities, "prime_power_class",
+                        lambda n: right(n) + (n == 54))
+    rep = theta_v_check(60)
+    assert rep.failures == ["theta_v"]
+    assert rep.records[0][2] == "60 index tuples; failing: [54]"
 
 
 def test_reflection_map_small():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,30 @@ def test_u_small_values(n, expected):
 def test_u_negative_index_is_odd():
     for n in range(0, 12):
         assert u_poly(-n) == -u_poly(n)
+
+
+def closed_form_u(n):
+    # (-1)^k C(n-1-k, k) on X^(m-k), m = (n-1) // 2, for n >= 1
+    a = n - 1
+    m = a // 2
+    return UPoly([(-1) ** (m - i) * comb(a - m + i, m - i)
+                  for i in range(m + 1)])
+
+
+def test_u_matches_the_binomial_closed_form():
+    assert u_poly(0) == UPoly()
+    for n in range(1, 601):
+        expected = closed_form_u(n)
+        assert u_poly(n) == expected, n
+        assert u_poly(-n) == -expected, -n
+
+
+def test_u_satisfies_a1_and_a2_to_600():
+    # A1: u_{2n+2} = u_{2n+1} - u_{2n};  A2: u_{2n+1} = X u_{2n} - u_{2n-1}
+    for n in range(-300, 300):
+        assert u_poly(2*n + 2) == u_poly(2*n + 1) - u_poly(2*n), n
+    for n in range(-299, 300):
+        assert u_poly(2*n + 1) == X * u_poly(2*n) - u_poly(2*n - 1), n
 
 
 def test_u_degrees():
