@@ -22,7 +22,7 @@ from .cyclo import root_of_v, root_identity_suite
 from .engine import closure, element_order, check_relation
 from .identities import check_all_identities
 from .report import timed
-from .reflrep import preset, preset_names
+from .reflrep import _FAMILIES, preset, preset_names
 from .suites import (PROFILES, SUITE_ORDER, run_all, run_suite,
                      classification_cases)
 from .sympoly import run_symbolic_suites
@@ -176,7 +176,8 @@ def _load_rep(name, command):
         return preset(name)
     except KeyError as exc:
         _bad_input(command, exc.args[0])
-        print("known presets: %s" % ", ".join(preset_names()),
+        spellings = [spelling for _, _, spelling in _FAMILIES.values()]
+        print("known presets: %s" % ", ".join(preset_names() + spellings),
               file=sys.stderr)
     except ValueError as exc:
         _bad_input(command, exc)

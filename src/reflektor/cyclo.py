@@ -573,24 +573,18 @@ def root_identity_suite(r_max):
             e = 1 if (k - 1) % 2 == 0 else -1
             res.check(s * uu(r - 1) == e, lab + ("sqrt_sign",))
             h = (r - 1) // 2
-            if r % 4 == 1:
-                lmax = (r - 1) // 4
-                for l in range(0, lmax + 1):
-                    res.check(uu(h - 2 * l)
-                              == (uu(2 * l + 1) - e * s * uu(2 * l)) * uu(h),
-                              lab + ("half_e", l))
-                    res.check(uu(h - (2 * l - 1))
-                              == (g * uu(2 * l) - e * s * uu(2 * l - 1)) * uu(h),
-                              lab + ("half_o", l))
-            else:
-                lmax = (r - 3) // 8
-                for l in range(0, lmax + 1):
-                    res.check(uu(h - 2 * l)
-                              == (uu(2 * l + 1) - e * s * uu(2 * l)) * uu(h),
-                              lab + ("half_e", l))
-                    res.check(s * uu(h - (2 * l - 1))
-                              == (s * uu(2 * l) - e * uu(2 * l - 1)) * uu(h),
-                              lab + ("half_o", l))
+            lmax = (r - 1) // 4 if r % 4 == 1 else (r - 3) // 8
+            for l in range(0, lmax + 1):
+                res.check(uu(h - 2 * l)
+                          == (uu(2 * l + 1) - e * s * uu(2 * l)) * uu(h),
+                          lab + ("half_e", l))
+                if r % 4 == 1:
+                    ok = (uu(h - (2 * l - 1))
+                          == (g * uu(2 * l) - e * s * uu(2 * l - 1)) * uu(h))
+                else:
+                    ok = (s * uu(h - (2 * l - 1))
+                          == (s * uu(2 * l) - e * uu(2 * l - 1)) * uu(h))
+                res.check(ok, lab + ("half_o", l))
     return res
 
 

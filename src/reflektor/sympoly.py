@@ -1,19 +1,23 @@
 """Closed forms for words in the rank-3 generators, checked symbolically.
 
 The three reflections carry the four free constants alpha, beta, l, m (with
-gamma = l m), so every claim here is an identity of sparse polynomials: the
-power and reflection formulas for the three products s_i s_j, the pairing
-C(s, t) = trace((s-1)(t-1)) against translated reflections, and the
-characteristic polynomials of s_i (s_j s_k)^n.  Formulas that carry a
-denominator like 4 - alpha only hold when the corresponding product has
-finite even order, so those are checked exactly in small cyclotomic fields
-with the remaining constants random rationals.
-
-All u-polynomial evaluations at alpha / beta / gamma are shared through one
-sequence per constant (the two interleaved recurrences).
+gamma = l m), so every claim here is an identity of sparse polynomials.
+Each closed form of Section 2 is written once, for an edge (i, j) of the
+diagram with third index k.  Its weights x = k_ij, y = k_ji, p = k_ik and
+q = k_jk are read off the generators (k_ij is row i, column j of s_i), and
+u is evaluated at the edge product x y: alpha, beta and gamma on the edges
+{1, 2}, {1, 3} and {2, 3}.  One form per claim covers the three edges: the
+powers (s_i s_j)^n, the reflections s_i (s_i s_j)^n with their -1
+eigenvectors, the pairing C(s, t) = trace((s-1)(t-1)) of s_k against them,
+and the half turns.  Formulas that carry a denominator like 4 - x y only
+hold when s_i s_j has finite even order, so those are checked exactly in
+small cyclotomic fields with the remaining constants generic rationals.
+The C values against short conjugates and the characteristic polynomials
+of s_i (s_j s_k)^n are checked as well.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .cyclo import root_of_v, u_value_seq, u_at
@@ -35,241 +39,164 @@ THETA, THETA_P = theta_pair(ALPHA, BETA, L, M)
 GENS = tuple(build_generators(
     DiagramSpec(3, rank3_edges(ALPHA, BETA, L, M, ONE)), ONE, ZERO))
 
-
-def _mat(rows):
-    return SquareMat(rows, ONE, ZERO)
-
-
-def _u_seqs(kmax):
-    hi = 4 * kmax + 6
-    return (u_value_seq(ALPHA, hi), u_value_seq(BETA, hi),
-            u_value_seq(GAMMA, hi))
-
-
-# -- closed forms for (s_i s_j)^n --------------------------------------
-
-def pow_s1s2(k_half, parity, uA):
-    """(s1 s2)^(2 k_half + parity); u evaluated at alpha."""
-    u = lambda n: u_at(uA, n)
-    k = k_half
-    if parity == 0:
-        return _mat([
-            [u(4*k+1), -ALPHA*u(4*k),
-             ALPHA*BETA*u(2*k)**2 + ALPHA*L*u(2*k+1)*u(2*k)],
-            [u(4*k), -u(4*k-1),
-             ALPHA*L*u(2*k)**2 + BETA*u(2*k)*u(2*k-1)],
-            [ZERO, ZERO, ONE]])
-    return _mat([
-        [u(4*k+3), -ALPHA*u(4*k+2),
-         BETA*u(2*k+1)**2 + ALPHA*L*u(2*k+2)*u(2*k+1)],
-        [u(4*k+2), -u(4*k+1),
-         L*u(2*k+1)**2 + BETA*u(2*k+1)*u(2*k)],
-        [ZERO, ZERO, ONE]])
+# The edges (i, j) with their third index k, 0-based, in case order.  Per
+# edge: the name of s_i s_j; the name of its edge product x y; the parities
+# of n for which the catalog states C(s_k, s_i (s_i s_j)^n) in product form;
+# whether the half-turn checks include s_j times the half turn.
+_EDGES = (
+    ((0, 1, 2), "s1s2", "alpha", (0, 1), True),
+    ((0, 2, 1), "s1s3", "beta", (0,), False),
+    ((1, 2, 0), "s2s3", "gamma", (1,), False),
+)
 
 
-def pow_s1s3(k_half, parity, uB):
-    """(s1 s3)^(2 k_half + parity); u evaluated at beta."""
-    u = lambda n: u_at(uB, n)
-    k = k_half
-    if parity == 0:
-        return _mat([
-            [u(4*k+1),
-             ALPHA*BETA*u(2*k)**2 + BETA*M*u(2*k+1)*u(2*k), -BETA*u(4*k)],
-            [ZERO, ONE, ZERO],
-            [u(4*k),
-             BETA*M*u(2*k)**2 + ALPHA*u(2*k)*u(2*k-1), -u(4*k-1)]])
-    return _mat([
-        [u(4*k+3),
-         ALPHA*u(2*k+1)**2 + BETA*M*u(2*k+2)*u(2*k+1), -BETA*u(4*k+2)],
-        [ZERO, ONE, ZERO],
-        [u(4*k+2),
-         M*u(2*k+1)**2 + ALPHA*u(2*k+1)*u(2*k), -u(4*k+1)]])
+def _weights(gens, i, j, k):
+    """x = k_ij, y = k_ji, p = k_ik, q = k_jk: rows i of s_i and j of s_j."""
+    return (gens[i].rows[i][j], gens[j].rows[j][i],
+            gens[i].rows[i][k], gens[j].rows[j][k])
 
 
-def pow_s2s3(k_half, parity, uG):
-    """(s2 s3)^(2 k_half + parity); u evaluated at gamma = l m."""
-    u = lambda n: u_at(uG, n)
-    k = k_half
-    if parity == 0:
-        return _mat([
-            [ONE, ZERO, ZERO],
-            [GAMMA*u(2*k)**2 + L*u(2*k+1)*u(2*k), u(4*k+1), -L*u(4*k)],
-            [GAMMA*u(2*k)**2 + M*u(2*k)*u(2*k-1), M*u(4*k), -u(4*k-1)]])
-    return _mat([
-        [ONE, ZERO, ZERO],
-        [u(2*k+1)**2 + L*u(2*k+2)*u(2*k+1), u(4*k+3), -L*u(4*k+2)],
-        [u(2*k+1)**2 + M*u(2*k+1)*u(2*k), M*u(4*k+2), -u(4*k+1)]])
+def _on_edge(edge, row_i, row_j, one, zero):
+    """The matrix whose rows i and j are given in the column order (i, j, k)
+    of edge, and whose row k is the unit row."""
+    rows = [[zero] * 3 for _ in range(3)]
+    rows[edge[2]][edge[2]] = one
+    for r, vals in zip(edge, (row_i, row_j)):
+        for c, v in zip(edge, vals):
+            rows[r][c] = v
+    return SquareMat(rows, one, zero)
+
+
+def _u_seq(at, kmax):
+    return u_value_seq(at, 4 * kmax + 10)
+
+
+def _edge_seq(edge, kmax):
+    """u_0 .. u_(4 kmax + 10) at the edge product x y."""
+    x, y, _, _ = _weights(GENS, *edge)
+    return _u_seq(x * y, kmax)
+
+
+# -- closed forms for (s_i s_j)^n and s_i (s_i s_j)^n ------------------
+
+def _power(edge, n, seq):
+    """(s_i s_j)^n, with u at x y in seq.  Rows i and j are
+        u_(2n+1),  -x u_(2n),   w p u_n^2 + x q u_(n+1) u_n,
+        y u_(2n),  -u_(2n-1),   w q u_n^2 + y p u_n u_(n-1),
+    where the weight w is x y for even n and 1 for odd n."""
+    x, y, p, q = _weights(GENS, *edge)
+    u = lambda t: u_at(seq, t)
+    w = x * y if n % 2 == 0 else ONE
+    un = u(n)
+    return _on_edge(edge,
+                    [u(2*n+1), -x*u(2*n), w*p*un**2 + x*q*u(n+1)*un],
+                    [y*u(2*n), -u(2*n-1), w*q*un**2 + y*p*un*u(n-1)],
+                    ONE, ZERO)
+
+
+def _reflection(edge, n, seq):
+    """(s_i (s_i s_j)^n, v, c): its -1 eigenvector v = v_i e_i + v_j e_j
+    and the factor c of its column k = c v.  Rows i and j are
+        u_(2n-1),  -x u_(2n-2),  c v_i,
+        y u_(2n),  -u_(2n-1),    c v_j,
+    with v = (u_(n-1), y u_n), c = x q u_n + p u_(n-1) for even n and
+    v = (x u_(n-1), u_n), c = q u_n + y p u_(n-1) for odd n."""
+    i, j, _ = edge
+    x, y, p, q = _weights(GENS, *edge)
+    u = lambda t: u_at(seq, t)
+    if n % 2 == 0:
+        vi, vj, c = u(n-1), y*u(n), x*q*u(n) + p*u(n-1)
+    else:
+        vi, vj, c = x*u(n-1), u(n), q*u(n) + y*p*u(n-1)
+    mat = _on_edge(edge, [u(2*n-1), -x*u(2*n-2), c*vi],
+                   [y*u(2*n), -u(2*n-1), c*vj], ONE, ZERO)
+    vec = [ZERO] * 3
+    vec[i], vec[j] = vi, vj
+    return mat, vec, c
 
 
 def verify_power_formulas(kmax=6):
-    """The six even/odd closed forms against incrementally computed actual
-    powers, over the full signed exponent range |n| <= 2 kmax + 1."""
+    """The closed form of (s_i s_j)^n on each edge against incrementally
+    computed actual powers, over the full signed exponent range
+    |n| <= 2 kmax + 1."""
     res = SuiteResult("power_formulas")
-    s1, s2, s3 = GENS
-    uA, uB, uG = _u_seqs(kmax + 1)
-    families = [
-        ("s1s2", s1 * s2, pow_s1s2, uA),
-        ("s1s3", s1 * s3, pow_s1s3, uB),
-        ("s2s3", s2 * s3, pow_s2s3, uG),
-    ]
     ident = SquareMat.identity(3, ONE, ZERO)
-    for name, p, closed, seq in families:
+    for edge, name, _, _, _ in _EDGES:
+        seq = _edge_seq(edge, kmax)
+        s, t = GENS[edge[0]], GENS[edge[1]]
+        st, ts = s * t, t * s
         pos = ident
         for n in range(0, 2 * kmax + 2):
-            res.check(pos == closed(n // 2, n % 2, seq), (name, n))
-            pos = pos * p
+            res.check(pos == _power(edge, n, seq), (name, n))
+            pos = pos * st
         # negative exponents: (s_i s_j)^-1 = s_j s_i
-        q = {"s1s2": s2 * s1, "s1s3": s3 * s1, "s2s3": s3 * s2}[name]
-        neg = q
+        neg = ts
         for n in range(-1, -(2 * kmax + 2), -1):
-            k, par = (n // 2, n % 2)  # floor division keeps 2k+par = n
-            res.check(neg == closed(k, par, seq), (name, n))
-            neg = neg * q
+            res.check(neg == _power(edge, n, seq), (name, n))
+            neg = neg * ts
     return res
-
-
-# -- closed forms for s_i (s_i s_j)^n and their -1 eigenvectors --------
-
-def refl_s1s2(k_half, parity, uA):
-    u = lambda n: u_at(uA, n)
-    k = k_half
-    if parity == 0:
-        inner = ALPHA*L*u(2*k) + BETA*u(2*k-1)
-        mat = _mat([
-            [u(4*k-1), -ALPHA*u(4*k-2), u(2*k-1)*inner],
-            [u(4*k), -u(4*k-1), u(2*k)*inner],
-            [ZERO, ZERO, ONE]])
-        return mat, [u(2*k-1), u(2*k), ZERO]
-    inner = BETA*u(2*k) + L*u(2*k+1)
-    mat = _mat([
-        [u(4*k+1), -ALPHA*u(4*k), ALPHA*u(2*k)*inner],
-        [u(4*k+2), -u(4*k+1), u(2*k+1)*inner],
-        [ZERO, ZERO, ONE]])
-    return mat, [ALPHA*u(2*k), u(2*k+1), ZERO]
-
-
-def refl_s1s3(k_half, parity, uB):
-    u = lambda n: u_at(uB, n)
-    k = k_half
-    if parity == 0:
-        inner = ALPHA*u(2*k-1) + BETA*M*u(2*k)
-        mat = _mat([
-            [u(4*k-1), u(2*k-1)*inner, -BETA*u(4*k-2)],
-            [ZERO, ONE, ZERO],
-            [u(4*k), u(2*k)*inner, -u(4*k-1)]])
-        return mat, [u(2*k-1), ZERO, u(2*k)]
-    inner = M*u(2*k+1) + ALPHA*u(2*k)
-    mat = _mat([
-        [u(4*k+1), BETA*u(2*k)*inner, -BETA*u(4*k)],
-        [ZERO, ONE, ZERO],
-        [u(4*k+2), u(2*k+1)*inner, -u(4*k+1)]])
-    return mat, [BETA*u(2*k), ZERO, u(2*k+1)]
-
-
-def refl_s2s3(k_half, parity, uG):
-    u = lambda n: u_at(uG, n)
-    k = k_half
-    if parity == 0:
-        inner = u(2*k-1) + L*u(2*k)
-        mat = _mat([
-            [ONE, ZERO, ZERO],
-            [u(2*k-1)*inner, u(4*k-1), -L*u(4*k-2)],
-            [M*u(2*k)*inner, M*u(4*k), -u(4*k-1)]])
-        return mat, [ZERO, u(2*k-1), M*u(2*k)]
-    inner = u(2*k+1) + M*u(2*k)
-    mat = _mat([
-        [ONE, ZERO, ZERO],
-        [L*u(2*k)*inner, u(4*k+1), -L*u(4*k)],
-        [u(2*k+1)*inner, M*u(4*k+2), -u(4*k+1)]])
-    return mat, [ZERO, L*u(2*k), u(2*k+1)]
 
 
 def verify_reflection_formulas(kmax=6):
     """s_i (s_i s_j)^n closed forms plus the stated -1 eigenvector of each,
     over the signed range |n| <= 2 kmax + 1."""
     res = SuiteResult("reflection_formulas")
-    s1, s2, s3 = GENS
-    uA, uB, uG = _u_seqs(kmax + 1)
-    families = [
-        ("s1(s1s2)^n", s1, s1 * s2, s2 * s1, refl_s1s2, uA),
-        ("s1(s1s3)^n", s1, s1 * s3, s3 * s1, refl_s1s3, uB),
-        ("s2(s2s3)^n", s2, s2 * s3, s3 * s2, refl_s2s3, uG),
-    ]
     top = 2 * kmax + 1
-    for name, head, p, pinv, closed, seq in families:
-        # head p^n and head pinv^n, one multiply per step
-        actual = {0: head}
+    for edge, name, _, _, _ in _EDGES:
+        seq = _edge_seq(edge, kmax)
+        s, t = GENS[edge[0]], GENS[edge[1]]
+        st, ts = s * t, t * s
+        label = "s%d(%s)^n" % (edge[0] + 1, name)
+        # s_i (s_i s_j)^n and s_i (s_j s_i)^n, one multiply per step
+        actual = {0: s}
         for n in range(1, top + 1):
-            actual[n] = actual[n - 1] * p
-            actual[-n] = actual[1 - n] * pinv
+            actual[n] = actual[n - 1] * st
+            actual[-n] = actual[1 - n] * ts
         for n in range(-top, top + 1):
-            mat, vec = closed(n // 2, n % 2, seq)
-            res.check(actual[n] == mat, (name, n))
+            mat, vec, _ = _reflection(edge, n, seq)
+            res.check(actual[n] == mat, (label, n))
             img = mat.apply(vec)
-            res.check(all((x + y).is_zero() for x, y in zip(img, vec)),
-                      (name, n, "eigvec"))
+            res.check(all((a + b).is_zero() for a, b in zip(img, vec)),
+                      (label, n, "eigvec"))
     return res
 
 
 # -- the C catalog ------------------------------------------------------
 
 def verify_C_generic(kmax=6):
-    """C(s, t) for the third reflection against translated copies of the
-    other two, in product and expanded form, as polynomial identities."""
+    """C(s_k, s_i (s_i s_j)^n) on each edge, as polynomial identities.  In
+    the edge products e_ij = k_ij k_ji, e_ik, e_jk and the cycle term
+    z = k_ij k_jk k_ki + k_ji k_kj k_ik, the expanded form is
+        e_ij e_jk u_n^2 + e_ik u_(n-1)^2 + z u_n u_(n-1)   (n even),
+        e_jk u_n^2 + e_ij e_ik u_(n-1)^2 + z u_n u_(n-1)   (n odd);
+    for the parities the catalog lists, also the product form
+    (k_ki v_i + k_kj v_j) c in the eigenvector v and the column factor c
+    of _reflection."""
     res = SuiteResult("C_generic")
-    s1, s2, s3 = GENS
-    uA, uB, uG = _u_seqs(kmax + 1)
-    cross = ALPHA * L + BETA * M
-
+    forms = []
+    for edge, name, _, products, _ in _EDGES:
+        i, j, k = edge
+        x, y, p, q = _weights(GENS, *edge)
+        ki, kj = GENS[k].rows[k][i], GENS[k].rows[k][j]
+        forms.append((edge, "s%d_vs_%s" % (k + 1, name), products,
+                      _edge_seq(edge, kmax), ki, kj, x * y, p * ki, q * kj,
+                      x * q * ki + y * p * kj))
     for n in range(-(2 * kmax + 1), 2 * kmax + 2):
-        k, par = n // 2, n % 2
-
-        # against s1 (s1 s2)^n, u at alpha
-        u = lambda j: u_at(uA, j)
-        mat, _ = refl_s1s2(k, par, uA)
-        c = pair_C(s3, mat)
-        if par == 0:
-            prod = (u(2*k-1) + M*u(2*k)) * (ALPHA*L*u(2*k) + BETA*u(2*k-1))
-            expd = ALPHA*GAMMA*u(2*k)**2 + BETA*u(2*k-1)**2 + \
-                cross*u(2*k)*u(2*k-1)
-        else:
-            prod = (ALPHA*u(2*k) + M*u(2*k+1)) * (BETA*u(2*k) + L*u(2*k+1))
-            expd = GAMMA*u(2*k+1)**2 + ALPHA*BETA*u(2*k)**2 + \
-                cross*u(2*k+1)*u(2*k)
-        res.check((c - prod).is_zero(), ("s3_vs_s1s2", n, "product"))
-        res.check((c - expd).is_zero(), ("s3_vs_s1s2", n, "expanded"))
-
-        # against s1 (s1 s3)^n, u at beta
-        u = lambda j: u_at(uB, j)
-        mat, _ = refl_s1s3(k, par, uB)
-        c = pair_C(s2, mat)
-        if par == 0:
-            prod = (u(2*k-1) + L*u(2*k)) * (ALPHA*u(2*k-1) + BETA*M*u(2*k))
-            expd = BETA*GAMMA*u(2*k)**2 + ALPHA*u(2*k-1)**2 + \
-                cross*u(2*k)*u(2*k-1)
-        else:
-            prod = None
-            expd = GAMMA*u(2*k+1)**2 + ALPHA*BETA*u(2*k)**2 + \
-                cross*u(2*k+1)*u(2*k)
-        if prod is not None:
-            res.check((c - prod).is_zero(), ("s2_vs_s1s3", n, "product"))
-        res.check((c - expd).is_zero(), ("s2_vs_s1s3", n, "expanded"))
-
-        # against s2 (s2 s3)^n, u at gamma
-        u = lambda j: u_at(uG, j)
-        mat, _ = refl_s2s3(k, par, uG)
-        c = pair_C(s1, mat)
-        if par == 0:
-            prod = None
-            expd = BETA*GAMMA*u(2*k)**2 + ALPHA*u(2*k-1)**2 + \
-                cross*u(2*k)*u(2*k-1)
-        else:
-            prod = (ALPHA*L*u(2*k) + BETA*u(2*k+1)) * (u(2*k+1) + M*u(2*k))
-            expd = BETA*u(2*k+1)**2 + ALPHA*GAMMA*u(2*k)**2 + \
-                cross*u(2*k+1)*u(2*k)
-        if prod is not None:
-            res.check((c - prod).is_zero(), ("s1_vs_s2s3", n, "product"))
-        res.check((c - expd).is_zero(), ("s1_vs_s2s3", n, "expanded"))
+        for (edge, label, products, seq, ki, kj,
+             e_ij, e_ik, e_jk, z) in forms:
+            i, j, k = edge
+            mat, vec, col = _reflection(edge, n, seq)
+            c = pair_C(GENS[k], mat)
+            if n % 2 in products:
+                res.check((c - (ki * vec[i] + kj * vec[j]) * col).is_zero(),
+                          (label, n, "product"))
+            un, un1 = u_at(seq, n), u_at(seq, n - 1)
+            if n % 2 == 0:
+                expd = e_ij * e_jk * un**2 + e_ik * un1**2
+            else:
+                expd = e_jk * un**2 + e_ij * e_ik * un1**2
+            res.check((c - expd - z * un * un1).is_zero(),
+                      (label, n, "expanded"))
     return res
 
 
@@ -319,161 +246,94 @@ def verify_C_conjugates():
 
 # -- half-turn specializations (finite even order, with denominators) --
 
-def _field_rep(alpha, beta, l, m, conductor):
-    """The three generators and (alpha, beta, l, m), all over
-    Q(zeta_conductor)."""
-    rep = rank3_rep("rank3", alpha, beta, l, m, conductor)
-    return (*rep.gens, rep.edge_constants())
+_A0, _L0, _M0 = Fraction(7, 3), Fraction(2, 5), Fraction(-3, 4)
 
 
-_RATS = (Fraction(7, 3), Fraction(2, 5), Fraction(-3, 4))
-
-
-def _halfturn_rep(which, order):
-    """Concrete constants with one product of even order: which says where
-    the v-root goes (alpha, beta or gamma); the other constants are fixed
-    generic rationals."""
-    root = root_of_v(order)
-    b0, l0, m0 = _RATS
-    if which == "alpha":
-        return _field_rep(root, b0, l0, m0, order)
-    if which == "beta":
-        return _field_rep(b0, root, l0, m0, order)
-    # gamma = root: keep l rational, m = root / l
-    return _field_rep(b0, m0, l0, root / l0, order)
+def _at_roots(roots, conductor):
+    """The rank-3 rep over Q(zeta_conductor) whose edge products (0: alpha,
+    1: beta, 2: gamma) are the v-roots that roots gives by edge index.  The
+    other constants are generic rationals: l = 2/5, so gamma = root means
+    m = root / l, and otherwise m = -3/4; a free alpha is 7/3, and so is a
+    free beta, except that it is -3/4 when alpha is free as well."""
+    a = roots.get(0, _A0)
+    b = roots.get(1, _A0 if 0 in roots else _M0)
+    m = roots[2] / _L0 if 2 in roots else _M0
+    return rank3_rep("rank3", a, b, _L0, m, conductor)
 
 
 def verify_half_turns(orders=(4, 6)):
-    """When one product s_i s_j has even order 2h, (s_i s_j)^h is the stated
-    half turn and the C values against the remaining generator collapse to
-    the delta-over-(4 - constant) forms.  Checked exactly at v-roots."""
+    """When s_i s_j has even order 2h, with w = 4 - x y, (s_i s_j)^h is the
+    half turn whose rows i and j are (-1, 0, 2 (2p + x q) / w) and
+    (0, -1, 2 (y p + 2q) / w), and the C values against the third generator
+    collapse to C(s_k, s_t (s_i s_j)^h) = 4 - k_tk k_kt - 2 delta / w for
+    t = i, j.  Checked exactly at v-roots."""
     res = SuiteResult("half_turns")
     for order in orders:
-        h = order // 2
-
-        # alpha at a v-root: s1 s2 has this order
-        s1, s2, s3, (a, b, l, m) = _halfturn_rep("alpha", order)
-        one, zero = s1.one, s1.zero
-        g = l * m
-        d = delta(a, b, l, m)
-        half = (s1 * s2) ** h
-        w = 4 - a
-        expect = SquareMat([
-            [-one, zero, 2 * (2*b + a*l) / w],
-            [zero, -one, 2 * (b + 2*l) / w],
-            [zero, zero, one]], one, zero)
-        res.check(half == expect, ("alpha", order, "half"))
-        expect2 = SquareMat([
-            [-one, zero, 2 * (2*b + a*l) / w],
-            [-one, one, (2*b + a*l) / w],
-            [zero, zero, one]], one, zero)
-        res.check(s2 * half == expect2, ("alpha", order, "s2half"))
-        res.check(pair_C(s3, s1 * half) == 4 - b - 2 * d / w,
-                  ("alpha", order, "C_s1"))
-        res.check(pair_C(s3, s2 * half) == 4 - g - 2 * d / w,
-                  ("alpha", order, "C_s2"))
-
-        # beta at a v-root: s1 s3 has this order
-        s1, s2, s3, (a, b, l, m) = _halfturn_rep("beta", order)
-        g = l * m
-        d = delta(a, b, l, m)
-        half = (s1 * s3) ** h
-        w = 4 - b
-        one, zero = s1.one, s1.zero
-        expect = SquareMat([
-            [-one, 2 * (2*a + b*m) / w, zero],
-            [zero, one, zero],
-            [zero, 2 * (a + 2*m) / w, -one]], one, zero)
-        res.check(half == expect, ("beta", order, "half"))
-        res.check(pair_C(s2, s1 * half) == 4 - a - 2 * d / w,
-                  ("beta", order, "C_s1"))
-        res.check(pair_C(s2, s3 * half) == 4 - g - 2 * d / w,
-                  ("beta", order, "C_s3"))
-
-        # gamma at a v-root: s2 s3 has this order
-        s1, s2, s3, (a, b, l, m) = _halfturn_rep("gamma", order)
-        g = l * m
-        d = delta(a, b, l, m)
-        half = (s2 * s3) ** h
-        w = 4 - g
-        one, zero = s1.one, s1.zero
-        expect = SquareMat([
-            [one, zero, zero],
-            [2 * (l + 2) / w, -one, zero],
-            [2 * (m + 2) / w, zero, -one]], one, zero)
-        res.check(half == expect, ("gamma", order, "half"))
-        res.check(pair_C(s1, s2 * half) == 4 - a - 2 * d / w,
-                  ("gamma", order, "C_s2"))
-        res.check(pair_C(s1, s3 * half) == 4 - b - 2 * d / w,
-                  ("gamma", order, "C_s3"))
+        for e, (edge, _, const, _, sj_half) in enumerate(_EDGES):
+            i, j, k = edge
+            rep = _at_roots({e: root_of_v(order)}, order)
+            g = rep.gens
+            one, zero = g[0].one, g[0].zero
+            d = rep.delta()
+            x, y, p, q = _weights(g, *edge)
+            w = 4 - x * y
+            c = (2 * p + x * q) / w
+            half = (g[i] * g[j]) ** (order // 2)
+            expect = _on_edge(edge, [-one, zero, 2 * c],
+                              [zero, -one, 2 * (y * p + 2 * q) / w],
+                              one, zero)
+            res.check(half == expect, (const, order, "half"))
+            if sj_half:
+                # row j of s_j is (y, -1, q) in the order (i, j, k)
+                expect = _on_edge(edge, [-one, zero, 2 * c],
+                                  [-y, one, y * c], one, zero)
+                res.check(g[j] * half == expect,
+                          (const, order, "s%dhalf" % (j + 1)))
+            for t in (i, j):
+                e_tk = g[t].rows[t][k] * g[k].rows[k][t]
+                res.check(pair_C(g[k], g[t] * half) == 4 - e_tk - 2 * d / w,
+                          (const, order, "C_s%d" % (t + 1)))
     return res
 
 
 def verify_half_turn_pairs(orders=(4, 6)):
-    """C between two half-turn translates when two of the three products
-    have finite even order; all four combinations for each of the three
-    ways of picking the pair."""
+    """C between two half-turn translates when two edges have products of
+    finite even order, for each pair of edges.  With H1 and H2 the half
+    turns, e1 and e2 the edge products, W = (4 - e1)(4 - e2) and
+    C(s_u, s_v) = k_uv k_vu (4 when u = v), for every head s_u of the first
+    edge and s_v of the second:
+        C(s_u H1, s_v H2) = C(s_u, s_v) (1 - 2 delta / W)
+    when s_u or s_v is the generator the two edges share, and
+        C(s_u H1, s_v H2) = C(s_u, s_v) + delta (8 - 2 e1 - 2 e2) / W
+    otherwise."""
     res = SuiteResult("half_turn_pairs")
-    b0, l0, m0 = _RATS
     for o1 in orders:
         for o2 in orders:
             cond = lcm(o1, o2)
             r1, r2 = root_of_v(o1), root_of_v(o2)
-            h1, h2 = o1 // 2, o2 // 2
-
-            # alpha and beta at v-roots
-            s1, s2, s3, (a, b, l, m) = _field_rep(r1, r2, l0, m0, cond)
-            g = l * m
-            d = delta(a, b, l, m)
-            wa, wb = 4 - a, 4 - b
-            p = s1 * (s1 * s2) ** h1
-            q = s2 * (s1 * s2) ** h1
-            x = s1 * (s1 * s3) ** h2
-            y = s3 * (s1 * s3) ** h2
-            res.check(pair_C(p, x) == 4 - 8 * d / (wa * wb),
-                      (o1, o2, "ab", "11"))
-            res.check(pair_C(p, y) == b - 2 * b * d / (wa * wb),
-                      (o1, o2, "ab", "13"))
-            res.check(pair_C(q, x) == a - 2 * a * d / (wa * wb),
-                      (o1, o2, "ab", "21"))
-            res.check(pair_C(q, y) == g + d * (8 - 2*a - 2*b) / (wa * wb),
-                      (o1, o2, "ab", "23"))
-
-            # alpha and gamma at v-roots (m = gamma / l)
-            s1, s2, s3, (a, b, l, m) = _field_rep(r1, b0, l0, r2 / l0, cond)
-            g = l * m
-            d = delta(a, b, l, m)
-            wa, wg = 4 - a, 4 - g
-            p = s1 * (s1 * s2) ** h1
-            q = s2 * (s1 * s2) ** h1
-            x = s2 * (s2 * s3) ** h2
-            y = s3 * (s2 * s3) ** h2
-            res.check(pair_C(p, x) == a - 2 * a * d / (wa * wg),
-                      (o1, o2, "ag", "12"))
-            res.check(pair_C(p, y) == b + d * (8 - 2*a - 2*g) / (wa * wg),
-                      (o1, o2, "ag", "13"))
-            res.check(pair_C(q, x) == 4 - 8 * d / (wa * wg),
-                      (o1, o2, "ag", "22"))
-            res.check(pair_C(q, y) == g - 2 * g * d / (wa * wg),
-                      (o1, o2, "ag", "23"))
-
-            # beta and gamma at v-roots
-            s1, s2, s3, (a, b, l, m) = _field_rep(b0, r1, l0, r2 / l0, cond)
-            g = l * m
-            d = delta(a, b, l, m)
-            wb, wg = 4 - b, 4 - g
-            p = s1 * (s1 * s3) ** h1
-            q = s3 * (s1 * s3) ** h1
-            x = s2 * (s2 * s3) ** h2
-            y = s3 * (s2 * s3) ** h2
-            res.check(pair_C(p, x) == a + d * (8 - 2*b - 2*g) / (wb * wg),
-                      (o1, o2, "bg", "12"))
-            res.check(pair_C(p, y) == b - 2 * b * d / (wb * wg),
-                      (o1, o2, "bg", "13"))
-            res.check(pair_C(q, x) == g - 2 * g * d / (wb * wg),
-                      (o1, o2, "bg", "32"))
-            res.check(pair_C(q, y) == 4 - 8 * d / (wb * wg),
-                      (o1, o2, "bg", "33"))
+            for a, b in combinations(range(3), 2):
+                (i1, j1, k1), _, name1, _, _ = _EDGES[a]
+                (i2, j2, k2), _, name2, _, _ = _EDGES[b]
+                rep = _at_roots({a: r1, b: r2}, cond)
+                g = rep.gens
+                d = rep.delta()
+                x1, y1, _, _ = _weights(g, i1, j1, k1)
+                x2, y2, _, _ = _weights(g, i2, j2, k2)
+                e1, e2 = x1 * y1, x2 * y2
+                big_w = (4 - e1) * (4 - e2)
+                half1 = (g[i1] * g[j1]) ** (o1 // 2)
+                half2 = (g[i2] * g[j2]) ** (o2 // 2)
+                shared, = {i1, j1} & {i2, j2}
+                for u in (i1, j1):
+                    for v in (i2, j2):
+                        c = 4 if u == v else g[u].rows[u][v] * g[v].rows[v][u]
+                        if shared in (u, v):
+                            expect = c - 2 * c * d / big_w
+                        else:
+                            expect = c + d * (8 - 2 * e1 - 2 * e2) / big_w
+                        res.check(pair_C(g[u] * half1, g[v] * half2) == expect,
+                                  (o1, o2, name1[0] + name2[0],
+                                   "%d%d" % (u + 1, v + 1)))
     return res
 
 
@@ -500,17 +360,17 @@ def verify_charpoly_catalog(kmax=6):
     pseudo-remainders in m."""
     res = SuiteResult("charpoly_catalog")
     s1, s2, s3 = GENS
-    uA, uB, uG = _u_seqs(kmax + 1)
-    delta = THETA_P - THETA
+    d = delta(ALPHA, BETA, L, M)
     skew = THETA + THETA_P  # alpha l - beta m
     families = [
-        ("t", s1, s2 * s3, uG, GAMMA),
-        ("x", s2, s3 * s1, uB, BETA),
-        ("y", s3, s1 * s2, uA, ALPHA),
+        ("t", s1, s2 * s3, GAMMA),
+        ("x", s2, s3 * s1, BETA),
+        ("y", s3, s1 * s2, ALPHA),
     ]
     x_minus_1 = UPoly([-ONE, ONE])
     x_plus_1 = UPoly([ONE, ONE])
-    for name, head, pair, seq, weight in families:
+    for name, head, pair, weight in families:
+        seq = _u_seq(weight, kmax)
         cur = head
         for n in range(0, 2 * kmax + 1):
             cp = cur.char_poly()
@@ -521,7 +381,7 @@ def verify_charpoly_catalog(kmax=6):
             # value at 1: delta times the weighted square
             un = u_at(seq, n)
             sq = un * un if n % 2 else weight * un * un
-            res.check((cp.eval(ONE) - delta * sq).is_zero(),
+            res.check((cp.eval(ONE) - d * sq).is_zero(),
                       (name, n, "at_one"))
             # value at -1: the doubled-index u
             res.check((cp.eval(-ONE) + skew * u_at(seq, 2 * n)).is_zero(),
@@ -530,7 +390,7 @@ def verify_charpoly_catalog(kmax=6):
                 # delta = 0 forces the (X - 1) factorization
                 quad = UPoly([-ONE, -THETA * u_at(seq, 2 * n), ONE])
                 diff = cp - x_minus_1 * quad
-                res.check(all(prem(c, delta, 3).is_zero()
+                res.check(all(prem(c, d, 3).is_zero()
                               for c in diff.coeffs),
                           (name, n, "delta0_factor"))
                 # alpha l = beta m forces the (X + 1) factorization
@@ -549,10 +409,12 @@ def verify_charpoly_even_order(orders=(4, 6)):
     Checked exactly at v-roots of gamma."""
     res = SuiteResult("charpoly_even_order")
     for order in orders:
-        s1, s2, s3, (a, b, l, m) = _halfturn_rep("gamma", order)
+        rep = _at_roots({2: root_of_v(order)}, order)
+        s1, s2, s3 = rep.gens
         one = s1.one
+        _, _, l, m = rep.edge_constants()
         g = l * m
-        d = delta(a, b, l, m)
+        d = rep.delta()
         h = order // 2
         t = s1 * (s2 * s3) ** h
         cp = t.char_poly()

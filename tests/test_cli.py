@@ -220,6 +220,8 @@ LOOKUP_ERRORS = [
      "rep: unknown preset 'no_such_name'", True),
     (["rep", "word", "nope:3", "s1"],
      "rep: unknown parameterized preset family 'nope'", True),
+    (["group", "order", "--preset", "h4_1:2"],
+     "group: unknown parameterized preset family 'h4_1'", True),
     (["group", "order", "--preset", "gppn:1:3"],
      "group: need p >= 2 (gppn:1:n would be the affine atilde:n)", False),
     (["rep", "preset", "gppn:x:3"],
@@ -242,6 +244,8 @@ def test_preset_lookup_errors_name_the_command(capsys, argv, first, lists):
     assert len(lines) == (2 if lists else 1)
     if lists:
         assert lines[1].startswith("known presets: cor9_a3, cor9_b3, ")
+        # the fixed names, then the spellings of the parameterized families
+        assert lines[1].endswith(", h4_oracle, gppn:p:n, atilde:n, gnn3:n[:k]")
 
 
 BAD_INPUT = [

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -83,3 +84,13 @@ def test_charpoly_catalog_small():
     res = sympoly.verify_charpoly_catalog(3)
     assert res.passed, res.failures[:5]
     assert sympoly.verify_charpoly_even_order().passed
+
+
+def test_section2_case_order_digest():
+    # every Section-2 case id and status, in order; the full-profile case
+    # count compares multisets, so only this pins the order
+    res = sympoly.run_symbolic_suites(3)
+    cases = [(cid, status) for cid, status, _ in res.records]
+    assert len(cases) == 394
+    assert hashlib.sha256(repr(cases).encode()).hexdigest() == (
+        "b1d68183a74186dbccbea7544635439de88a3f816e7272175953ae8fc406a0b1")
