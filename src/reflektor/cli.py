@@ -103,24 +103,6 @@ def _bad_input(command, exc):
     return 2
 
 
-def _format_field_poly(p):
-    """Polynomial with cyclotomic coefficients; each one parenthesized."""
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        xpart = "" if i == 0 else ("X" if i == 1 else "X^%d" % i)
-        if c == 1 and xpart:
-            parts.append(xpart)
-        else:
-            cs = str(c)
-            if not re.fullmatch(r"-?\d+(/\d+)?", cs):
-                cs = "(%s)" % cs
-            parts.append(cs + ("*" + xpart if xpart else ""))
-    return " + ".join(parts) if parts else "0"
-
-
 def cmd_upoly(args):
     try:
         poly = u_poly(args.n) if args.family == "u" else v_poly(args.n)
@@ -209,7 +191,7 @@ def cmd_rep(args):
         except ValueError as exc:
             return _bad_input("rep", exc)
         if args.charpoly:
-            print(_format_field_poly(mat.char_poly()))
+            print(format_poly(mat.char_poly()))
         else:
             for row in mat.rows:
                 print("[" + ", ".join(str(x) for x in row) + "]")

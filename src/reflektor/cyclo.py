@@ -488,22 +488,17 @@ def quad_pow(phi, sign, n):
 
 
 def quad_pow_closed(phi, sign, n):
-    """The closed form for a^n through the u family evaluated at phi^2
-    (sign -1) or -phi^2 (sign +1)."""
-    s = phi * phi
-    if sign == -1:
-        seq = u_value_seq(s, abs(2 * n) + 3)
-        if n % 2 == 0:
-            return (phi * u_at(seq, n), -u_at(seq, n - 1))
-        return (u_at(seq, n), -phi * u_at(seq, n - 1))
-    seq = u_value_seq(-s, abs(2 * n) + 3)
+    """The closed form for a^n through the u family evaluated at rho phi^2,
+    rho = -sign: (c phi u_n, d u_(n-1)) for even n and (c u_n, d phi u_(n-1))
+    for odd n, with c = rho^(ceil(n/2) - 1) and d = -rho^floor(n/2)."""
+    rho = -sign
+    sgn = lambda e: rho if e % 2 else 1  # rho^e, an int for every e
+    c, d = sgn((n + 1) // 2 - 1), -sgn(n // 2)
+    seq = u_value_seq(rho * phi * phi, abs(2 * n) + 3)
+    un, un1 = u_at(seq, n), u_at(seq, n - 1)
     if n % 2 == 0:
-        h = n // 2
-        e = 1 if (h - 1) % 2 == 0 else -1
-        return (e * phi * u_at(seq, n), e * u_at(seq, n - 1))
-    h = (n - 1) // 2
-    return ((1 if h % 2 == 0 else -1) * u_at(seq, n),
-            (1 if (h - 1) % 2 == 0 else -1) * phi * u_at(seq, n - 1))
+        return (c * phi * un, d * un1)
+    return (c * un, d * phi * un1)
 
 
 # -- suites ------------------------------------------------------------
@@ -516,8 +511,8 @@ def _coprime_ks(r):
 def root_identity_suite(r_max):
     """Exact checks, at every primitive root of every v_r with r <= r_max, of
     the evaluation identities: the reflection/periodicity rules at roots of
-    v_{2p}, the two weighted ladders there, and the odd-r ladder including
-    its square-root-signed refinement."""
+    v_{2p}, the weighted ladder there, and the odd-r ladder including its
+    square-root-signed refinement."""
     res = SuiteResult("root_identities")
 
     for p in range(2, r_max // 2 + 1):
@@ -539,52 +534,40 @@ def root_identity_suite(r_max):
             res.check(uu(2 * p - 1) == 1, lab + ("top+",))
             res.check(uu(2 * p + 1) == -1, lab + ("top-",))
             w = 4 - g
-            if p % 2 == 1:
-                for kk in range(0, p + 1):
-                    res.check(w * uu(p) * uu(p - kk) * 1
-                              == 2 * (uu(kk + 1) - uu(kk - 1)),
-                              lab + ("ladder", kk))
-                res.check(w * uu(p) * uu(p) == 4, lab + ("norm4",))
-                res.check(w * uu(p) * uu(p - 1) == 2, lab + ("norm2",))
-            else:
-                for kk in range(0, p // 2):
-                    res.check(g * w * uu(p) * uu(p - 2 * kk)
-                              == 2 * (uu(2 * kk + 1) - uu(2 * kk - 1)),
-                              lab + ("ladder_e", kk))
-                    res.check(w * uu(p) * uu(p - (2 * kk + 1))
-                              == 2 * (uu(2 * kk + 2) - uu(2 * kk)),
-                              lab + ("ladder_o", kk))
-                res.check(g * w * uu(p) * uu(p) == 4, lab + ("norm4",))
-                res.check(w * uu(p) * uu(p - 1) == 2, lab + ("norm2",))
+            # the weight of the even rungs: g w when p is even
+            w0 = w if p % 2 else g * w
+            for kk in range(p + p % 2):
+                tag = (("ladder", kk) if p % 2 else
+                       (("ladder_e", "ladder_o")[kk % 2], kk // 2))
+                res.check((w if kk % 2 else w0) * uu(p) * uu(p - kk)
+                          == 2 * (uu(kk + 1) - uu(kk - 1)), lab + tag)
+            res.check(w0 * uu(p) * uu(p) == 4, lab + ("norm4",))
+            res.check(w * uu(p) * uu(p - 1) == 2, lab + ("norm2",))
 
     for r in range(3, r_max + 1, 2):
-        r1 = (r - 1) // 2
+        h = (r - 1) // 2
         for k in _coprime_ks(r):
             s = sqrt_root(r, k)
             g = s * s
             seq = u_value_seq(g, 2 * r + 4)
             uu = lambda n: u_at(seq, n)
             lab = ("odd", r, k)
-            for kk in range(0, r1):
+            for kk in range(0, h):
                 res.check(uu(r - (2 * kk + 1)) == uu(2 * kk + 1) * uu(r - 1),
                           lab + ("odd_step", kk))
                 res.check(uu(r - (2 * kk + 2)) == g * uu(2 * kk + 2) * uu(r - 1),
                           lab + ("even_step", kk))
             e = 1 if (k - 1) % 2 == 0 else -1
             res.check(s * uu(r - 1) == e, lab + ("sqrt_sign",))
-            h = (r - 1) // 2
-            lmax = (r - 1) // 4 if r % 4 == 1 else (r - 3) // 8
+            # for r = 3 mod 4, half_o is stated times s, which is not 0
+            lmax, wt = ((r - 1) // 4, 1) if r % 4 == 1 else ((r - 3) // 8, g)
             for l in range(0, lmax + 1):
                 res.check(uu(h - 2 * l)
                           == (uu(2 * l + 1) - e * s * uu(2 * l)) * uu(h),
                           lab + ("half_e", l))
-                if r % 4 == 1:
-                    ok = (uu(h - (2 * l - 1))
-                          == (g * uu(2 * l) - e * s * uu(2 * l - 1)) * uu(h))
-                else:
-                    ok = (s * uu(h - (2 * l - 1))
-                          == (s * uu(2 * l) - e * uu(2 * l - 1)) * uu(h))
-                res.check(ok, lab + ("half_o", l))
+                res.check(wt * uu(h - (2 * l - 1))
+                          == (g * uu(2 * l) - e * s * uu(2 * l - 1)) * uu(h),
+                          lab + ("half_o", l))
     return res
 
 

@@ -12,12 +12,13 @@ eigenvectors, the pairing C(s, t) = trace((s-1)(t-1)) of s_k against them,
 and the half turns.  Formulas that carry a denominator like 4 - x y only
 hold when s_i s_j has finite even order, so those are checked exactly in
 small cyclotomic fields with the remaining constants generic rationals.
-The C values against short conjugates and the characteristic polynomials
-of s_i (s_j s_k)^n are checked as well.
+The C values against short conjugates, one product per ordered triple of
+generators, and the characteristic polynomials of s_i (s_j s_k)^n are
+checked as well.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
 from .cyclo import root_of_v, u_value_seq, u_at
@@ -65,6 +66,19 @@ def _on_edge(edge, row_i, row_j, one, zero):
         for c, v in zip(edge, vals):
             rows[r][c] = v
     return SquareMat(rows, one, zero)
+
+
+def _k(a, b):
+    """k_ab: row a, column b of s_a in GENS."""
+    return GENS[a].rows[a][b]
+
+
+def _edge_products(i, j, k):
+    """e_ij, e_ik and e_jk, with e_ab = k_ab k_ba, and the cycle term
+    z = k_ij k_jk k_ki + k_ji k_kj k_ik."""
+    x, y, p, q = _weights(GENS, i, j, k)
+    ki, kj = _k(k, i), _k(k, j)
+    return x * y, p * ki, q * kj, x * q * ki + y * p * kj
 
 
 def _u_seq(at, kmax):
@@ -176,11 +190,9 @@ def verify_C_generic(kmax=6):
     forms = []
     for edge, name, _, products, _ in _EDGES:
         i, j, k = edge
-        x, y, p, q = _weights(GENS, *edge)
-        ki, kj = GENS[k].rows[k][i], GENS[k].rows[k][j]
         forms.append((edge, "s%d_vs_%s" % (k + 1, name), products,
-                      _edge_seq(edge, kmax), ki, kj, x * y, p * ki, q * kj,
-                      x * q * ki + y * p * kj))
+                      _edge_seq(edge, kmax), _k(k, i), _k(k, j))
+                     + _edge_products(*edge))
     for n in range(-(2 * kmax + 1), 2 * kmax + 2):
         for (edge, label, products, seq, ki, kj,
              e_ij, e_ik, e_jk, z) in forms:
@@ -200,47 +212,33 @@ def verify_C_generic(kmax=6):
     return res
 
 
+def _conjugate_C(i, j, k, u):
+    """(k_ij u + k_ik k_kj) (k_ji u + k_jk k_ki)."""
+    return ((_k(i, j) * u + _k(i, k) * _k(k, j))
+            * (_k(j, i) * u + _k(j, k) * _k(k, i)))
+
+
 def verify_C_conjugates():
-    """C between a generator and a short conjugate of another, the nine
-    product formulas (x^g means g^-1 x g)."""
+    """C(s_i, s_j^w) for each ordering (i, j, k) of the generators, where
+    x^g means g^-1 x g: the product _conjugate_C(i, j, k, u) with u = 1
+    for w = s_k and u = u_3(e_jk) = k_jk k_kj - 1 for w = s_k s_j.  For
+    w = s_k and i < j also the expanded form e_ij + e_ik e_jk + z, with z
+    the cycle term of verify_C_generic."""
     res = SuiteResult("C_conjugates")
-    s1, s2, s3 = GENS
-    cross = ALPHA * L + BETA * M
-    u3 = lambda t: t - 1  # u_3 evaluated at the constant
-
-    def conj(x, g):
-        return g * x * g  # the conjugators here are involutions
-
-    cases = [
-        ("s1,s2^s3", s1, conj(s2, s3), (L + 1) * (ALPHA + BETA * M)),
-        ("s2,s1^s3", s2, conj(s1, s3), (L + 1) * (ALPHA + BETA * M)),
-        ("s1,s3^s2", s1, conj(s3, s2), (M + 1) * (BETA + ALPHA * L)),
-        ("s3,s1^s2", s3, conj(s1, s2), (M + 1) * (BETA + ALPHA * L)),
-        ("s2,s3^s1", s2, conj(s3, s1), (ALPHA + M) * (BETA + L)),
-        ("s3,s2^s1", s3, conj(s2, s1), (ALPHA + M) * (BETA + L)),
-        ("s1,s2^s3s2", s1, s2 * s3 * s2 * s3 * s2,
-         (L + u3(GAMMA)) * (BETA * M + ALPHA * u3(GAMMA))),
-        ("s1,s3^s2s3", s1, s3 * s2 * s3 * s2 * s3,
-         (M + u3(GAMMA)) * (ALPHA * L + BETA * u3(GAMMA))),
-        ("s2,s1^s3s1", s2, s1 * s3 * s1 * s3 * s1,
-         (L + u3(BETA)) * (BETA * M + ALPHA * u3(BETA))),
-        ("s2,s3^s1s3", s2, s3 * s1 * s3 * s1 * s3,
-         (BETA + L * u3(BETA)) * (ALPHA + M * u3(BETA))),
-        ("s3,s1^s2s1", s3, s1 * s2 * s1 * s2 * s1,
-         (BETA * u3(ALPHA) + ALPHA * L) * (M + u3(ALPHA))),
-        ("s3,s2^s1s2", s3, s2 * s1 * s2 * s1 * s2,
-         (ALPHA + M * u3(ALPHA)) * (BETA + L * u3(ALPHA))),
-    ]
-    sums = {
-        "s1,s2^s3": ALPHA + BETA * GAMMA + cross,
-        "s1,s3^s2": BETA + ALPHA * GAMMA + cross,
-        "s2,s3^s1": GAMMA + ALPHA * BETA + cross,
-    }
-    for name, s, t, expect in cases:
-        c = pair_C(s, t)
-        res.check((c - expect).is_zero(), (name,))
-        if name in sums:
-            res.check((c - sums[name]).is_zero(), (name, "expanded"))
+    for i, j, k in sorted(permutations(range(3)), key=lambda p: -p[2]):
+        c = pair_C(GENS[i], GENS[k] * GENS[j] * GENS[k])
+        name = "s%d,s%d^s%d" % (i + 1, j + 1, k + 1)
+        res.check((c - _conjugate_C(i, j, k, ONE)).is_zero(), (name,))
+        if i < j:
+            e_ij, e_ik, e_jk, z = _edge_products(i, j, k)
+            res.check((c - e_ij - e_ik * e_jk - z).is_zero(),
+                      (name, "expanded"))
+    for i, j, k in permutations(range(3)):
+        sj, sk = GENS[j], GENS[k]
+        c = pair_C(GENS[i], sj * sk * sj * sk * sj)
+        u = _k(j, k) * _k(k, j) - 1
+        res.check((c - _conjugate_C(i, j, k, u)).is_zero(),
+                  ("s%d,s%d^s%ds%d" % (i + 1, j + 1, k + 1, j + 1),))
     return res
 
 

@@ -11,6 +11,7 @@ all v_n and Phi_N need, since each is built by exact division by monic
 factors.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -164,8 +165,9 @@ ONE = UPoly([1])
 
 
 def format_poly(p, var="X"):
-    """Highest degree first, e.g. "X^2 - 3*X + 1"; the coefficients must
-    be ints or Fractions."""
+    """Highest degree first, e.g. "X^2 - 3*X + 1".  A rational coefficient
+    (an int, a Fraction or a rational CycloElem) carries its sign; any
+    other one is printed in parentheses after "+ "."""
     if p.is_zero():
         return "0"
     parts = []
@@ -173,16 +175,21 @@ def format_poly(p, var="X"):
         c = p.coeffs[i]
         if c == 0:
             continue
-        mag = str(abs(c))
+        if hasattr(c, "is_rational") and c.is_rational():
+            c = c.to_fraction()
+        if isinstance(c, (int, Fraction)):
+            neg, mag = c < 0, str(abs(c))
+        else:
+            neg, mag = False, "(%s)" % (c,)
         if i == 0:
             body = mag
         else:
             xpart = var if i == 1 else "%s^%d" % (var, i)
             body = xpart if mag == "1" else "%s*%s" % (mag, xpart)
         if not parts:
-            parts.append(body if c > 0 else "-" + body)
+            parts.append("-" + body if neg else body)
         else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+            parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
 
 

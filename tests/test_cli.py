@@ -144,6 +144,14 @@ def test_rep_word_charpoly(capsys):
                     "--charpoly")
     assert code == 0
     assert out.strip().startswith("X^3")
+    # a rational coefficient carries its sign; any other one is parenthesized
+    for argv, line in (
+            (("h3_552", "s2"), "X^3 - X^2 - X + 1"),
+            (("cor9_a3", "s1", "s2"), "X^3 - 1"),
+            (("g27_a", "s1", "s2", "s3"),
+             "X^3 + (-z^4 - z)*X^2 + (z^7 + z^4 - z^3 + z^2 + z - 1)*X + 1")):
+        code, out = run(capsys, "rep", "word", *argv, "--charpoly")
+        assert (code, out) == (0, line + "\n")
 
 
 def test_group_order_json(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import operator
 from fractions import Fraction
 
@@ -182,6 +183,15 @@ def test_bad_operands(op):
 def test_root_identity_suite_small():
     res = root_identity_suite(12)
     assert res.passed, res.failures[:5]
+
+
+def test_root_identity_case_order_digest():
+    # every root-identity case id and status up to r = 30, in order
+    res = root_identity_suite(30)
+    cases = [(cid, status) for cid, status, _ in res.records]
+    assert len(cases) == 5804
+    assert hashlib.sha256(repr(cases).encode()).hexdigest() == (
+        "4564d801e7acc6495066e1258b6752dd9dd384ae93a2a46b52c300a4b29472d0")
 
 
 def test_norm_invertibility_suite_small():

@@ -1,10 +1,12 @@
 import hashlib
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from reflektor.matrices import pair_C
 from reflektor.mpoly import MPoly, ALPHA, BETA, L, M, GAMMA, prem
+from reflektor.reflrep import DiagramSpec, build_generators
 from reflektor import sympoly
 
 
@@ -73,6 +75,33 @@ def test_reflection_formulas_small():
 def test_C_catalog_small():
     assert sympoly.verify_C_generic(3).passed
     assert sympoly.verify_C_conjugates().passed
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 5, -7, 11, -13),
+                                     (-3, 4, 6, 5, -2, 9)])
+def test_section2_at_generic_weights(monkeypatch, weights):
+    # GENS has k_21 = k_31 = 1; six distinct weights, none +-1, exercise
+    # every k_ab of every closed form
+    k12, k21, k13, k31, k23, k32 = (MPoly.const(w) for w in weights)
+    spec = DiagramSpec(3, {(1, 2): (k12, k21), (1, 3): (k13, k31),
+                           (2, 3): (k23, k32)})
+    gens = build_generators(spec, sympoly.ONE, sympoly.ZERO)
+    monkeypatch.setattr(sympoly, "GENS", gens)
+    for res in (sympoly.verify_power_formulas(3),
+                sympoly.verify_reflection_formulas(3),
+                sympoly.verify_C_generic(3), sympoly.verify_C_conjugates()):
+        assert res.passed, (res.name, res.failures[:5])
+    # the product of C(s_i, s_j^w) is _reflection's product form on the
+    # edge (j, k, i): s_j (s_j s_k)^2 = s_j^(s_k), s_j (s_j s_k)^-2 =
+    # s_j^(s_k s_j)
+    k = sympoly._k
+    for i, j, m in permutations(range(3)):
+        edge = (j, m, i)
+        seq = sympoly._edge_seq(edge, 0)
+        for n, u in ((2, sympoly.ONE), (-2, k(j, m) * k(m, j) - 1)):
+            _, v, c = sympoly._reflection(edge, n, seq)
+            assert sympoly._conjugate_C(i, j, m, u) == \
+                (k(i, j) * v[j] + k(i, m) * v[m]) * c
 
 
 def test_half_turn_collapses():
