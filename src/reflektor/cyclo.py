@@ -20,9 +20,10 @@ The scalar kernel:
   convolution of the nonzero coefficients over the common denominator,
   reduced and gcd-normalized once; matrix products, matrix-vector products
   and Krylov columns of characteristic polynomials are longer dots;
-- the norm N(x) is the determinant of multiplication by x, taken by the
-  same fraction-free elimination (Bareiss 1968) that inverts elements and
-  finds power-basis coordinates.
+- fraction-free elimination (Bareiss 1968) inverts elements and finds
+  power-basis coordinates;
+- the norm N(x) is the resultant Res(Phi_N, P) / den^d of the integer
+  polynomial P of den * x, by the subresultant PRS.
 """
 
 from fractions import Fraction
@@ -323,15 +324,49 @@ def to_field(x, ctx):
 
 
 def galois_norm(x):
-    """The norm of x down to Q, the product of its Galois conjugates: the
-    determinant of multiplication by x (Cohen, A Course in Computational
-    Algebraic Number Theory, 4.3), that is det(M) / den^d for the integer
-    matrix M of multiplication by den * x on the power basis, with the
-    determinant from the fraction-free elimination of _bareiss."""
-    d = x.ctx.degree
-    rows = [list(r) for r in zip(*x.ctx.mul_columns(x.vec))]
-    pivots, det = _bareiss(rows, d)
-    return Fraction(det if len(pivots) == d else 0, x.den ** d)
+    """The norm of x down to Q, the product of its Galois conjugates.  For
+    x = P(zeta) / den with P the integer polynomial of den * x, that is
+    Res(Phi_N, P) / den^d, since Phi_N is monic with the conjugates of
+    zeta as its roots (Cohen, A Course in Computational Algebraic Number
+    Theory, 3.3.2 and 4.3)."""
+    return Fraction(_resultant(x.ctx.phi_poly.coeffs, x.vec),
+                    x.den ** x.ctx.degree)
+
+
+def _resultant(a, b):
+    """Res(a, b) of integer polynomials given by ascending coefficients,
+    with a of degree >= 1 and above that of b, by the subresultant PRS
+    (Collins, J. ACM 14 (1967); Cohen, Alg. 3.3.7).  Each pseudo-remainder
+    is divided exactly by g h^delta, which keeps the coefficients minors of
+    the Sylvester matrix instead of letting them grow exponentially."""
+    b = list(b)
+    while b and not b[-1]:
+        b.pop()
+    if not b:
+        return 0
+    s, g, h = 1, 1, 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        # the pseudo-remainder lc(b)^(delta + 1) a mod b
+        r, lead = a, b[-1]
+        for top in range(da, db - 1, -1):
+            c = r[top]
+            r = [lead * v for v in r[:top]]
+            for j, v in enumerate(b[:-1], top - db):
+                r[j] -= c * v
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        scale = g * h ** delta
+        a, b = b, [v // scale for v in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1)
+    da = len(a) - 1
+    return s * b[0] ** da // h ** (da - 1)
 
 
 # -- distinguished roots ----------------------------------------------

@@ -19,8 +19,8 @@ record: `u(k)` is u_k, `x` is X, `y` is 4 - X, `uy(k)` is u_k(4 - X) and
   K = kronecker_bits(B), every coefficient of lhs - rhs is below 2^(K-1)
   in absolute value, and such an integer polynomial is zero iff its value
   at 2^K is: its lowest nonzero coefficient c_j would otherwise be a
-  multiple of 2^K.  So `certify` takes the largest B over a tag's tuples
-  and compares ints at one point, and each verdict is exact.
+  multiple of 2^K.  So `certify` compares each index tuple's ints at the
+  point set by its own B, and each verdict is exact.
 - `UPoly` itself (u_poly, X, 4 - X, u_poly(k).compose(4 - X), 0), the
   slow path the tests compare against.
 
@@ -83,6 +83,11 @@ def _uy_l1(k):
 MAJORANT = Ring(_u_l1, _L1(1), _L1(5), _uy_l1, _L1(0))
 
 
+# certify rounds each tuple's K up to a multiple of this, so that a tag's
+# tuples share a few rings and their cached values of u_n
+_K_STEP = 16
+
+
 def kronecker_bits(bound):
     """The K of the point 2^K that certifies integer polynomials whose
     coefficients are at most bound in absolute value: bound < 2^(K-1)."""
@@ -96,7 +101,11 @@ def kronecker_ring(k):
 
     @lru_cache(maxsize=None)
     def u(n):
-        return u_poly(n).eval(t)
+        # Horner at 2^k by shifts
+        acc = 0
+        for c in reversed(u_poly(n).coeffs):
+            acc = (acc << k) + c
+        return acc
 
     @lru_cache(maxsize=None)
     def uy(n):
@@ -212,16 +221,23 @@ def _result(name, label, cases, failures):
 
 
 def certify(build, tuples):
-    """(failures, bound) for a builder over index tuples: bound is the
-    largest MAJORANT bound B on a coefficient of lhs - rhs, and failures
-    lists the tuples with some pair that differs at X = 2^K, for
-    K = kronecker_bits(B); a pair that differs there differs as
-    polynomials, and one that agrees there agrees as polynomials."""
-    bound = max((lhs.v + rhs.v for idx in tuples
-                 for lhs, rhs in build(MAJORANT, *idx)), default=0)
-    ring = kronecker_ring(kronecker_bits(bound))
-    failures = [idx for idx in tuples
-                if any(lhs != rhs for lhs, rhs in build(ring, *idx))]
+    """(failures, bound) for a builder over index tuples.  Each tuple gets
+    its own MAJORANT bound B_t on a coefficient of lhs - rhs and is
+    compared at its own point X = 2^K, K = kronecker_bits(B_t) rounded up
+    to a multiple of _K_STEP; a pair that differs there differs as
+    polynomials, and one that agrees there agrees as polynomials.  failures
+    lists the tuples with some pair that differs, and bound is the largest
+    B_t.  The rings are shared by K within the call."""
+    failures, bound, rings = [], 0, {}
+    for idx in tuples:
+        b = max(lhs.v + rhs.v for lhs, rhs in build(MAJORANT, *idx))
+        bound = max(bound, b)
+        k = -(-kronecker_bits(b) // _K_STEP) * _K_STEP
+        ring = rings.get(k)
+        if ring is None:
+            ring = rings[k] = kronecker_ring(k)
+        if any(lhs != rhs for lhs, rhs in build(ring, *idx)):
+            failures.append(idx)
     return failures, bound
 
 

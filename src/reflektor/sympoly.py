@@ -13,8 +13,8 @@ and the half turns.  Formulas that carry a denominator like 4 - x y only
 hold when s_i s_j has finite even order, so those are checked exactly in
 small cyclotomic fields with the remaining constants generic rationals.
 The C values against short conjugates, one product per ordered triple of
-generators, and the characteristic polynomials of s_i (s_j s_k)^n are
-checked as well.
+generators, and the characteristic polynomials of M = s_i (s_j s_k)^n,
+read off tr(M) and tr(M^-1), are checked as well.
 """
 
 from fractions import Fraction
@@ -39,6 +39,11 @@ THETA, THETA_P = theta_pair(ALPHA, BETA, L, M)
 # s1, s2, s3 with symbolic edge constants (columns convention)
 GENS = tuple(build_generators(
     DiagramSpec(3, rank3_edges(ALPHA, BETA, L, M, ONE)), ONE, ZERO))
+
+# Each s_i is an involution of determinant -1 (det(X - s_i) ends in +1);
+# the char polys of the catalog are read off traces on these premises.
+_PREMISES = all((s * s).is_identity() and s.char_poly().constant() == 1
+                for s in GENS)
 
 # The edges (i, j) with their third index k, 0-based, in case order.  Per
 # edge: the name of s_i s_j; the name of its edge product x y; the parities
@@ -351,30 +356,43 @@ def charpoly_template(n, seq, weight):
     return UPoly([ONE, b_coeff, -a_coeff, ONE])
 
 
+# name, i, j, k and weight of the family s_i (s_j s_k)^n, 0-based
+_FAMILIES = (("t", 0, 1, 2, GAMMA), ("x", 1, 2, 0, BETA),
+             ("y", 2, 0, 1, ALPHA))
+
+
+def _charpolys(i, j, k, nmax):
+    """(M, char poly of M) for M = s_i (s_j s_k)^n, n = 0..nmax.  The char
+    poly is read off two traces: X^3 - tr(M) X^2 + det(M) tr(M^-1) X -
+    det(M), since the coefficient of X is tr(adj M).  It needs _PREMISES:
+    then det(M) = -1 and M^-1 = (s_k s_j)^n s_i, a second chain of
+    products."""
+    pair, rev = GENS[j] * GENS[k], GENS[k] * GENS[j]
+    cur = inv = GENS[i]
+    for n in range(nmax + 1):
+        if n:
+            cur, inv = cur * pair, rev * inv
+        yield cur, UPoly([ONE, -inv.trace(), -cur.trace(), ONE])
+
+
 def verify_charpoly_catalog(kmax=6):
     """Characteristic polynomials of t_n = s1 (s2 s3)^n, x_n = s2 (s3 s1)^n
-    and y_n = s3 (s1 s2)^n against the shared template, the values at +-1,
-    and the conditional factorizations (delta = 0 and alpha l = beta m) via
-    pseudo-remainders in m."""
+    and y_n = s3 (s1 s2)^n, from two traces each (_charpolys), against the
+    shared template, the values at +-1, and the conditional factorizations
+    (delta = 0 and alpha l = beta m) via pseudo-remainders in m.  Each
+    template case also requires _PREMISES, on which the traces rest."""
     res = SuiteResult("charpoly_catalog")
-    s1, s2, s3 = GENS
     d = delta(ALPHA, BETA, L, M)
     skew = THETA + THETA_P  # alpha l - beta m
-    families = [
-        ("t", s1, s2 * s3, GAMMA),
-        ("x", s2, s3 * s1, BETA),
-        ("y", s3, s1 * s2, ALPHA),
-    ]
     x_minus_1 = UPoly([-ONE, ONE])
     x_plus_1 = UPoly([ONE, ONE])
-    for name, head, pair, weight in families:
+    for name, i, j, k, weight in _FAMILIES:
         seq = _u_seq(weight, kmax)
-        cur = head
-        for n in range(0, 2 * kmax + 1):
-            cp = cur.char_poly()
+        for n, (_, cp) in enumerate(_charpolys(i, j, k, 2 * kmax)):
             tmpl = charpoly_template(n, seq, weight)
-            res.check(all((x - y).is_zero()
-                          for x, y in zip(cp.coeffs, tmpl.coeffs)),
+            res.check(_PREMISES and all((x - y).is_zero()
+                                        for x, y in zip(cp.coeffs,
+                                                        tmpl.coeffs)),
                       (name, n, "template"))
             # value at 1: delta times the weighted square
             un = u_at(seq, n)
@@ -397,7 +415,6 @@ def verify_charpoly_catalog(kmax=6):
                 res.check(all(prem(c, skew, 3).is_zero()
                               for c in diff.coeffs),
                           (name, n, "skew_factor"))
-            cur = cur * pair
     return res
 
 

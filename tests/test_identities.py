@@ -96,14 +96,25 @@ def test_failing_identity_lists_its_tuples(monkeypatch):
     assert rep.records[0][2] == "3 index tuples; failing: [(-1,), (1,)]"
 
 
+def bumped(build):
+    # X - 2^16 on the tuples with every |index| <= 2 only.  Their catalog
+    # bounds are below 2^9, so they alone would put a tuple at 2^16, where
+    # the term vanishes; with it, B < 2^17 and a sound K is at least 17.
+    # certify sees the term only if each tuple's own bound covers every
+    # term and K keeps that margin
+    return lambda r, *idx: [
+        (lhs, rhs + (r.x - 2 ** 16) if max(map(abs, idx)) <= 2 else rhs)
+        for lhs, rhs in build(r, *idx)]
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_verdicts_match_the_upoly_ring(tag):
-    # the catalog itself, and two variants that fail somewhere
+    # the catalog itself, and three variants that fail somewhere
     tuples = admissible(tag, -12, 12)
     build = IDENTITIES[tag][2]
     assert certify(build, tuples)[0] == upoly_failures(build, tuples) == []
     failing = []
-    for variant in (negated(build), shifted(build)):
+    for variant in (negated(build), shifted(build), bumped(build)):
         failures = upoly_failures(variant, tuples)
         assert certify(variant, tuples)[0] == failures
         failing += failures

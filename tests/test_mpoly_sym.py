@@ -115,6 +115,26 @@ def test_charpoly_catalog_small():
     assert sympoly.verify_charpoly_even_order().passed
 
 
+def test_charpoly_from_two_traces_matches_berkowitz():
+    # the premises: every s_i is an involution with det(X - s_i) ending in
+    # +1, that is det(s_i) = -1
+    for s in sympoly.GENS:
+        assert (s * s).is_identity()
+        assert s.char_poly().constant() == 1
+    assert sympoly._PREMISES
+    # kmax 3: n = 0..6 in each family, against Berkowitz on the matrix
+    for _, i, j, k, _ in sympoly._FAMILIES:
+        for mat, cp in sympoly._charpolys(i, j, k, 6):
+            assert cp.coeffs == mat.char_poly().coeffs
+
+
+def test_charpoly_template_cases_need_the_premises(monkeypatch):
+    monkeypatch.setattr(sympoly, "_PREMISES", False)
+    res = sympoly.verify_charpoly_catalog(1)
+    assert res.failures == ["%s:%d:template" % (name, n)
+                            for name in "txy" for n in range(3)]
+
+
 def test_section2_case_order_digest():
     # every Section-2 case id and status, in order; the full-profile case
     # count compares multisets, so only this pins the order

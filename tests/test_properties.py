@@ -8,11 +8,11 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from reflektor.cyclo import (CycloElem, ModPMap, classification_search,
-                             field_ctx, galois_norm, root_of_v,
-                             power_basis_coords, u_value_seq)
+from reflektor.cyclo import (CycloElem, ModPMap, _bareiss,
+                             classification_search, field_ctx, galois_norm,
+                             root_of_v, power_basis_coords, u_value_seq)
 from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
                                   MAJORANT, Ring)
 from reflektor.engine import _keys, apply_rep, closure, regular_rep
@@ -205,6 +205,33 @@ def test_galois_norm_matches_conjugate_product(x):
     got = galois_norm(x)
     assert type(got) is Fraction
     assert got == _conjugate_norm(x)
+
+
+def _bareiss_norm(x):
+    """det of the integer matrix of multiplication by den * x, over den^d:
+    the determinant galois_norm took before it became a resultant."""
+    d = x.ctx.degree
+    rows = [list(r) for r in zip(*x.ctx.mul_columns(x.vec))]
+    pivots, det = _bareiss(rows, d)
+    return Fraction(det if len(pivots) == d else 0, x.den ** d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 30]),
+       st.lists(st.integers(-30, 30), max_size=12),
+       st.integers(min_value=1, max_value=12))
+@example(12, [], 1)                 # x = 0
+@example(15, [-7], 5)               # a rational in a field of degree 8
+@example(16, [3, 0, -2, 0], 4)      # trailing zeros, den > 1
+@example(21, [0, 0, 0, 0, 0, 1], 1)
+@example(5, [1, 1, 0, 1], 3)        # a PRS step from degree 3 to degree 1
+def test_galois_norm_matches_the_bareiss_determinant(n, nums, den):
+    # nums padded with zeros to the degree: a short list is a polynomial P
+    # of degree below d - 1, the case the PRS enters with delta > 1
+    ctx = field_ctx(n)
+    vec = (nums + [0] * ctx.degree)[:ctx.degree]
+    x = CycloElem(ctx, vec, den)
+    assert galois_norm(x) == _bareiss_norm(x)
 
 
 def test_constants_hash_like_the_scalars_they_equal():
