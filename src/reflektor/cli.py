@@ -70,6 +70,8 @@ def _parse_side(text):
     m = re.fullmatch(r"\(([^)]*)\)\s*\^\s*(\d+)", text)
     if m is not None:
         return _parse_word(m.group(1)), int(m.group(2))
+    if "^" in text:
+        raise ValueError("%r: exponent must be a nonnegative integer" % text)
     return _parse_word(text), 1
 
 

@@ -190,6 +190,12 @@ def preset_names():
     return sorted(_PRESETS)
 
 
+def preset_constants(name):
+    """The named constants of a fixed preset's builder, in its field."""
+    conductor = _PRESETS[name][0]
+    return tuple(named_constant(c, conductor) for c in _CONSTANTS[conductor])
+
+
 def preset(name):
     """Build a representation by name.  Fixed names come from _PRESETS;
     parameterized families are spelled gppn:p:n, gnn3:n[:k] and atilde:n."""
@@ -205,8 +211,7 @@ def preset(name):
     if name not in _PRESETS:
         raise KeyError("unknown preset %r" % (name,))
     conductor, rank, build = _PRESETS[name]
-    made = build(*[named_constant(c, conductor)
-                   for c in _CONSTANTS[conductor]])
+    made = build(*preset_constants(name))
     if rank == 3:
         return rank3_rep(name, *made, conductor)
     return ReflectionRep(name, DiagramSpec(4, made), field_ctx(conductor))

@@ -2,16 +2,17 @@
 
 Each suite id maps to one function taking a profile dict and returning a
 SuiteResult.  The registry is declarative so coverage is auditable in one
-place; the quick profile shrinks index ranges and skips the order-14400
-rank-4 closures.
+place; the quick profile shrinks index ranges and skips every named group
+whose order exceeds the profile's group_cap.
 """
 
+from collections import namedtuple
 from math import factorial, lcm
 
 from . import identities
-from .cyclo import (field_ctx, to_field, root_of_v, sqrt_root, named_constant,
-                    root_identity_suite, norm_invertibility_suite,
-                    quad_power_suite, classification_search)
+from .cyclo import (to_field, root_of_v, sqrt_root, root_identity_suite,
+                    norm_invertibility_suite, quad_power_suite,
+                    classification_search)
 from .engine import (closure, element_order, scalar_power_check, is_unipotent,
                      check_relation, center_order, monomial_group_order,
                      conjugate)
@@ -19,19 +20,19 @@ from .matrices import pair_C
 from .mpoly import L, M, GAMMA, prem
 from .report import SuiteResult, timed
 from .reflrep import (DiagramSpec, build_generators, rank3_edges, delta,
-                      preset, rank3_rep, circuit_rep, affine_circuit_rep,
-                      gnn3_rep)
+                      preset, preset_constants, rank3_rep, circuit_rep,
+                      affine_circuit_rep, gnn3_rep)
 from . import sympoly
 
 PROFILES = {
     "quick": {"id_range": 20, "id_range_rec": 20, "fact_max": 60,
               "theta_max": 100, "reflmap_max": 50, "root_max": 20,
               "norm_max": 20, "class_bound": 8, "sym_kmax": 4,
-              "group_cap": 2500, "run_h4": False},
+              "group_cap": 2500},
     "full": {"id_range": 30, "id_range_rec": 50, "fact_max": 200,
              "theta_max": 500, "reflmap_max": 100, "root_max": 30,
              "norm_max": 30, "class_bound": 12, "sym_kmax": 8,
-             "group_cap": 1_000_000, "run_h4": True},
+             "group_cap": 1_000_000},
 }
 
 
@@ -171,14 +172,95 @@ def suite_s3_theorem6(prof):
     return res
 
 
+# The named groups of Sections 3-4, one row per preset: order, center (None:
+# close without storing elements), a scalar power t_pow of t = s1 s2 s3, the
+# order of t and (word, exponent) relations.  values maps the preset's named
+# constants (reflrep.preset_constants) to delta and that scalar.
+_Group = namedtuple("_Group", "order center t_pow t_order relations values",
+                    defaults=(None, None, None, (), None))
+
+_GROUPS = {
+    "cor9_a3": _Group(24, 1),
+    "cor9_b3": _Group(48, 2),
+    "h3_coxeter": _Group(120, 2, 5, 10, (), lambda t: (2 * (3 - t), -1)),
+    "h3_552": _Group(120, 2, 3, 6, [([2, 1, 3, 1], 3)], lambda t: (2, -1)),
+    "h3_335": _Group(120, 2, 3, 6, [([1, 2, 3, 2, 3, 2], 2)],
+                     lambda t: (2, -1)),
+    "h3_553a": _Group(120, 2, 5, 10, [([1, 3, 2, 3], 2)],
+                      lambda t: (2 * (3 - t), -1)),
+    "h3_553b": _Group(120, 2, 3, 6, [([3, 1, 2, 1], 2)], lambda t: (2, -1)),
+    "h3_555": _Group(120, 2, 5, 10, [([1, 3, 2, 3], 3),
+                                     ([1, 2, 3, 2, 3, 2], 2)],
+                     lambda t: (2 * (3 - t), -1)),
+    "h4_1": _Group(14400),
+    "h4_2": _Group(14400, relations=[([2, 3, 4, 3], 3)]),
+    "h4_3": _Group(14400, relations=[([3, 4, 3, 2], 2)]),
+    "h4_4": _Group(14400, relations=[([4, 3, 4, 2], 2)]),
+    "h4_5": _Group(14400, relations=[([3, 4, 3, 4, 3, 2], 2)]),
+    "h4_oracle": _Group(14400),
+    "g24_334": _Group(336, 2, 7, 14, [([1, 2, 1, 3], 4)], lambda z: (1, -1)),
+    "g24_443": _Group(336, 2, 7, 14, [([2, 3, 1, 3], 3)], lambda z: (1, -1)),
+    "g24_444": _Group(336, 2, 7, 14, [([1, 3, 2, 3], 3)], lambda z: (1, -1)),
+    "g27_a": _Group(2160, 6, 5, 30, [([1, 3, 2, 3], 4)],
+                    lambda t, w: (3 - t, -w)),
+    "g27_b": _Group(2160, 6, 4, 12, [([1, 3, 2, 3], 4)], lambda t, w: (1, w)),
+    "g27_c": _Group(2160, 6, 5, 30, [([1, 3, 2, 3], 5)],
+                    lambda t, w: (3 - t, -w)),
+    "g27_d": _Group(2160, 6, 4, 12, [([3, 1, 2, 1], 3), ([1, 3, 2, 3], 4)],
+                    lambda t, w: (1, w * w)),
+    "g27_e": _Group(2160, 6, 5, 30, [([1, 3, 2, 3], 3), ([1, 2, 3, 2], 3)],
+                    lambda t, w: (3 - t, -w)),
+    "g27_f": _Group(2160, 6, 4, 12, [([1, 3, 2, 3], 3)],
+                    lambda t, w: (1, w * w)),
+    "g27_g": _Group(2160, 6, 5, 30, [([1, 3, 2, 3], 5)],
+                    lambda t, w: (t, -w * w)),
+}
+
+
+def _named(prefix):
+    return [name for name in _GROUPS if name.startswith(prefix)]
+
+
+def _check_group(res, prof, name, presentation=True, t_label="t_scalar",
+                 indexed=True):
+    """Check a preset against its row: order, center, and with presentation
+    the t cases (t_label names the scalar one) and the relations, numbered
+    if indexed.  Returns (rep, t), or (None, None) over the size cap."""
+    row = _GROUPS[name]
+    if row.order > prof["group_cap"]:
+        res.skip((name, "order"), "over profile group-size cap")
+        return None, None
+    rep = preset(name)
+    result = closure(rep.gens, store_elements=row.center is not None)
+    res.check(result.order == row.order, (name, "order"))
+    if row.center is not None:
+        res.check(center_order(result, rep.gens) == row.center,
+                  (name, "center"))
+    t = None
+    if presentation and row.values is not None:
+        d, scalar = row.values(*preset_constants(name))
+        res.check(rep.delta() == d, (name, "delta"))
+        t = rep.word([1, 2, 3])
+        res.check(scalar_power_check(t, row.t_pow) == scalar, (name, t_label))
+        res.check(element_order(t) == row.t_order, (name, "t_order"))
+    for i, (word, e) in enumerate(row.relations if presentation else ()):
+        res.check(check_relation(rep.gens, word, e),
+                  (name, "relation", i) if indexed else (name, "relation"))
+    return rep, t
+
+
+def _galois_conjugate(res, rep):
+    """The group order is stable under conjugating the constants."""
+    consts = [x.conj() for x in rep.edge_constants()]
+    conj = rank3_rep(rep.name + "conj", *consts, rep.ctx.N)
+    res.check(closure(conj.gens, store_elements=False).order
+              == _GROUPS[rep.name].order, ("galois_conjugate", "order"))
+
+
 def suite_s3_cor9(prof):
     res = SuiteResult("s3_cor9")
-    for name, order, center in [("cor9_a3", 24, 1), ("cor9_b3", 48, 2),
-                                ("h3_335", 120, 2), ("h3_553a", 120, 2)]:
-        rep = preset(name)
-        result = closure(rep.gens)
-        res.check(result.order == order, (name, "order"))
-        res.check(center_order(result, rep.gens) == center, (name, "center"))
+    for name in ("cor9_a3", "cor9_b3", "h3_335", "h3_553a"):
+        _check_group(res, prof, name, presentation=False)
     # the symmetric-triangle case with all three constants 3 is affine
     rep = preset("cor9_g2t")
     res.check(closure(rep.gens, cap=10_000).cap_exceeded,
@@ -190,58 +272,17 @@ def suite_s3_cor9(prof):
     return res
 
 
-_H3 = {
-    # name -> (delta expression key, t power with scalar -1, extra relations)
-    "h3_coxeter": ("2(3-tau)", 5, []),
-    "h3_552": ("2", 3, [([2, 1, 3, 1], 3)]),
-    "h3_335": ("2", 3, [([1, 2, 3, 2, 3, 2], 2)]),
-    "h3_553a": ("2(3-tau)", 5, [([1, 3, 2, 3], 2)]),
-    "h3_553b": ("2", 3, [([3, 1, 2, 1], 2)]),
-    "h3_555": ("2(3-tau)", 5, [([1, 3, 2, 3], 3), ([1, 2, 3, 2, 3, 2], 2)]),
-}
-
-
 def suite_s3_h3(prof):
     res = SuiteResult("s3_h3")
-    tau = named_constant("tau", 5)
-    deltas = {"2(3-tau)": 2 * (3 - tau), "2": field_ctx(5).from_fraction(2)}
-    for name, (dkey, tpow, extra) in _H3.items():
-        rep = preset(name)
-        result = closure(rep.gens)
-        res.check(result.order == 120, (name, "order"))
-        res.check(center_order(result, rep.gens) == 2, (name, "center"))
-        res.check(rep.delta() == deltas[dkey], (name, "delta"))
-        t = rep.word([1, 2, 3])
-        res.check(scalar_power_check(t, tpow) == -1, (name, "t_scalar"))
-        res.check(element_order(t) == 2 * tpow, (name, "t_order"))
-        for i, (word, e) in enumerate(extra):
-            res.check(check_relation(rep.gens, word, e),
-                      (name, "relation", i))
+    for name in _named("h3_"):
+        _check_group(res, prof, name)
     return res
-
-
-_H4_RELATIONS = {
-    "h4_2": ([2, 3, 4, 3], 3),
-    "h4_3": ([3, 4, 3, 2], 2),
-    "h4_4": ([4, 3, 4, 2], 2),
-    "h4_5": ([3, 4, 3, 4, 3, 2], 2),
-}
 
 
 def suite_s3_h4(prof):
     res = SuiteResult("s3_h4")
-    names = ["h4_1", "h4_2", "h4_3", "h4_4", "h4_5", "h4_oracle"]
-    if not prof["run_h4"]:
-        for name in names:
-            res.skip((name, "order"), "quick profile caps group sizes")
-        return res
-    for name in names:
-        rep = preset(name)
-        res.check(closure(rep.gens, store_elements=False).order == 14400,
-                  (name, "order"))
-        if name in _H4_RELATIONS:
-            word, e = _H4_RELATIONS[name]
-            res.check(check_relation(rep.gens, word, e), (name, "relation"))
+    for name in _named("h4_"):
+        _check_group(res, prof, name, indexed=False)
     return res
 
 
@@ -327,30 +368,17 @@ def suite_s4_gnn3(prof):
     return res
 
 
-_G24 = {
-    # name -> (extra relation word, exponent, quadratic on 2^e * l)
-    "g24_334": ([1, 2, 1, 3], 4, None),
-    "g24_443": ([2, 3, 1, 3], 3, (3, 4)),
-    "g24_444": ([1, 3, 2, 3], 3, (5, 8)),
-}
-
-
 def suite_s4_g24(prof):
     res = SuiteResult("s4_g24")
-    zeta = named_constant("zeta7_half", 7)
+    zeta, = preset_constants("g24_334")
     res.check(zeta * zeta - zeta + 2 == 0, ("zeta_quadratic",))
-    for name, (word, e, quad) in _G24.items():
-        rep = preset(name)
-        result = closure(rep.gens)
-        res.check(result.order == 336, (name, "order"))
-        res.check(center_order(result, rep.gens) == 2, (name, "center"))
-        res.check(rep.delta() == 1, (name, "delta"))
-        t = rep.word([1, 2, 3])
-        res.check(scalar_power_check(t, 7) == -1, (name, "t7"))
-        res.check(element_order(t) == 14, (name, "t_order"))
-        res.check(check_relation(rep.gens, word, e), (name, "relation"))
+    quadratics = {"g24_443": (3, 4), "g24_444": (5, 8)}  # 2 l: X^2 + s X + c
+    for name in _named("g24_"):
+        rep, t = _check_group(res, prof, name, t_label="t7", indexed=False)
+        if rep is None:
+            continue
         a, b, l, m = rep.edge_constants()
-        if quad is None:
+        if name not in quadratics:
             # both cycle constants satisfy X^2 + X + 2 = 0
             res.check(l * l + l + 2 == 0 and m * m + m + 2 == 0,
                       (name, "quadratic"))
@@ -361,7 +389,7 @@ def suite_s4_g24(prof):
                                            -(1 - zeta), rep.ctx.one()),
                       (name, "t_charpoly"))
         else:
-            s, c = quad
+            s, c = quadratics[name]
             res.check((2 * l) ** 2 + s * (2 * l) + c == 0,
                       (name, "quadratic"))
     # with alpha = beta = 2 the degeneracy invariant collapses to
@@ -379,53 +407,20 @@ def suite_s4_g24(prof):
     # d^-1 = (s1 s3)^-1 = s3 s1
     res.check(((c * rep.word([3, 1])) ** 4).is_identity(), ("psl27", "cdinv"))
 
-    # order is stable under the Galois conjugate of the constants
-    a, b, l, m = rep.edge_constants()
-    conj_rep = rank3_rep("g24_334conj", a.conj(), b.conj(), l.conj(),
-                         m.conj(), 7)
-    res.check(closure(conj_rep.gens, store_elements=False).order == 336,
-              ("galois_conjugate", "order"))
+    _galois_conjugate(res, rep)
     return res
-
-
-_G27 = {
-    # name -> (t exponent, scalar as (power of omega, sign), delta key,
-    #          extra relations)
-    "g27_a": (5, (1, -1), "3-tau", [([1, 3, 2, 3], 4)]),
-    "g27_b": (4, (1, 1), "1", [([1, 3, 2, 3], 4)]),
-    "g27_c": (5, (1, -1), "3-tau", [([1, 3, 2, 3], 5)]),
-    "g27_d": (4, (2, 1), "1", [([3, 1, 2, 1], 3), ([1, 3, 2, 3], 4)]),
-    "g27_e": (5, (1, -1), "3-tau", [([1, 3, 2, 3], 3), ([1, 2, 3, 2], 3)]),
-    "g27_f": (4, (2, 1), "1", [([1, 3, 2, 3], 3)]),
-    "g27_g": (5, (2, -1), "tau", [([1, 3, 2, 3], 5)]),
-}
 
 
 def suite_s4_g27(prof):
     res = SuiteResult("s4_g27")
-    ctx = field_ctx(15)
-    om = named_constant("omega", 15)
-    tau = named_constant("tau", 15)
-    deltas = {"3-tau": 3 - tau, "1": ctx.one(), "tau": tau}
-    for name, (tpow, (ompow, sign), dkey, extra) in _G27.items():
-        rep = preset(name)
-        result = closure(rep.gens)
-        res.check(result.order == 2160, (name, "order"))
-        res.check(center_order(result, rep.gens) == 6, (name, "center"))
-        res.check(rep.delta() == deltas[dkey], (name, "delta"))
-        t = rep.word([1, 2, 3])
-        res.check(scalar_power_check(t, tpow) == sign * om ** ompow,
-                  (name, "t_scalar"))
-        expected_order = 30 if tpow == 5 else 12
-        res.check(element_order(t) == expected_order, (name, "t_order"))
-        for i, (word, e) in enumerate(extra):
-            res.check(check_relation(rep.gens, word, e),
-                      (name, "relation", i))
+    for name in _named("g27_"):
+        _check_group(res, prof, name)
 
     # Burnside-style witness in case (a): c = s1s2, d = s2s3 satisfy the
     # presentation relations, the commutator [c, d^3] is the square of
     # t2 = s1(s2s3)^2 and has order 6, and its square is central
     rep = preset("g27_a")
+    _, om = preset_constants("g27_a")
     c = rep.word([1, 2])
     d = rep.word([2, 3])
     res.check((c ** 3).is_identity() and (d ** 5).is_identity(),
@@ -445,12 +440,7 @@ def suite_s4_g27(prof):
     res.check(pair_C(rep.gens[0], conjugate(rep.gens, 2, [3])) == 2,
               ("burnside", "C_conj"))
 
-    # Galois-conjugate spot check
-    a, b, l, m = preset("g27_a").edge_constants()
-    conj_rep = rank3_rep("g27_aconj", a.conj(), b.conj(), l.conj(),
-                         m.conj(), 15)
-    res.check(closure(conj_rep.gens, store_elements=False).order == 2160,
-              ("galois_conjugate", "order"))
+    _galois_conjugate(res, rep)
     return res
 
 

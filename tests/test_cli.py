@@ -210,6 +210,16 @@ def test_parse_helpers():
         _parse_word("t1")
 
 
+@pytest.mark.parametrize("eq", ["(s1 s2)^-1", "(s1 s2)^x", "s1 = (s2)^"])
+def test_relation_bad_exponent_names_the_exponent(capsys, eq):
+    # used to report the bad generator token '(s1'
+    code = main(["group", "relation", "--preset", "h3_coxeter", "--eq", eq])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exponent" in captured.err and "generator" not in captured.err
+
+
 def test_relation_rejects_letter_outside_rank(capsys):
     # s0 used to wrap around to the last generator and print "holds"
     code = main(["group", "relation", "--preset", "h3_coxeter",
@@ -261,6 +271,7 @@ BAD_INPUT = [
     ["group", "element-order", "--preset", "h3_coxeter", "--word", "s4"],
     ["group", "relation", "--preset", "h3_coxeter", "--eq", "s0 s3"],
     ["group", "relation", "--preset", "h3_coxeter", "--eq", "s1 = s5"],
+    ["group", "relation", "--preset", "h3_coxeter", "--eq", "(s1 s2)^-1"],
     ["rep", "preset", "gppn:3"],
     ["group", "order", "--preset", "gppn:3"],
     ["rep", "preset", "gnn3:4:1:1"],

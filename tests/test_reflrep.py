@@ -8,6 +8,7 @@ from reflektor.reflrep import (DiagramSpec, ReflectionRep, build_generators,
                                circuit_rep, affine_circuit_rep, gnn3_rep)
 from reflektor.engine import element_order
 from reflektor.matrices import pair_C
+from reflektor.suites import _GROUPS, run_suite
 
 
 def test_preset_catalog_loads():
@@ -28,6 +29,22 @@ def test_preset_catalog_digest():
            for name in preset_names() for rep in [preset(name)]]
     assert hashlib.sha256(repr(cat).encode()).hexdigest() == (
         "2b3ecc85e647f600b5df9fe0512bdcfb6f82329e0ece364aa0202cf77782eff8")
+
+
+def test_named_group_case_order_digest():
+    # every case id and status of the five suites that read the named-group
+    # table, in order, under the quick profile (the full-profile case check
+    # runs elsewhere); and every row of the table is read by some case
+    cases = []
+    for sid in ("s3_cor9", "s3_h3", "s3_h4", "s4_g24", "s4_g27"):
+        cases += [(sid, cid, status)
+                  for cid, status, _ in run_suite(sid, "quick").records]
+    assert len(cases) == 136
+    assert hashlib.sha256(repr(cases).encode()).hexdigest() == (
+        "8a201c5f3259f91ac7279489e1218bbb257f47318dd4c44f55fb3d2be043a4aa")
+    read = {cid.split(":")[0] for _, cid, _ in cases}
+    for name in _GROUPS:
+        assert name in preset_names() and name in read
 
 
 def test_unknown_preset():
