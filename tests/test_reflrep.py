@@ -1,4 +1,5 @@
 import hashlib
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,22 @@ def test_preset_catalog_digest():
            for name in preset_names() for rep in [preset(name)]]
     assert hashlib.sha256(repr(cat).encode()).hexdigest() == (
         "2b3ecc85e647f600b5df9fe0512bdcfb6f82329e0ece364aa0202cf77782eff8")
+
+
+def test_family_preset_digest():
+    # the generators of the parameterized families, exactly, over a range of
+    # each: the circuit builders and gnn3 must keep every entry and field
+    names = (["gppn:%d:%d" % (p, n) for p in range(2, 8) for n in range(3, 6)]
+             + ["atilde:%d" % n for n in range(3, 7)]
+             + ["gnn3:%d:%d" % (n, k) for n in range(2, 9)
+                for k in range(1, n) if gcd(k, n) == 1])
+    assert len(names) == 43
+    cat = [(name, rep.rank, rep.ctx.N,
+            [[(x.den, x.vec) for x in row]
+             for g in rep.gens for row in g.rows])
+           for name in names for rep in [preset(name)]]
+    assert hashlib.sha256(repr(cat).encode()).hexdigest() == (
+        "89e9b51e81d59c733ce1e289a2b36b08766da02ee770cd93f18485abf653522a")
 
 
 def test_named_group_case_order_digest():
