@@ -85,10 +85,7 @@ def _parse_eq(text):
     return _parse_side(sides[0]), _parse_side(sides[1])
 
 
-def _print_report(res, as_json):
-    if as_json:
-        print(json.dumps(res.to_dict(), indent=2))
-        return
+def _print_report(res):
     mark = "ok  " if res.passed else "FAIL"
     print("%s %-20s %5d cases, %d failed, %d skipped  (%.2fs)"
           % (mark, res.name, res.cases, len(res.failures),
@@ -141,7 +138,7 @@ def cmd_verify(args):
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         for r in reports:
-            _print_report(r, False)
+            _print_report(r)
     return 0 if all(r.passed for r in reports) else 1
 
 

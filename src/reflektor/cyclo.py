@@ -286,14 +286,10 @@ class CycloElem:
         return CycloElem(self.ctx, self.ctx.reduce(out), self.den)
 
     def conj(self):
-        if self.ctx.N <= 2:
-            return self
         return self.galois(self.ctx.N - 1)
 
     def lift(self, ctx2):
         """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N)."""
-        if isinstance(ctx2, int):
-            ctx2 = field_ctx(ctx2)
         if ctx2.N % self.ctx.N != 0:
             raise ValueError("can only lift when the conductor divides")
         scale = ctx2.N // self.ctx.N
@@ -552,8 +548,6 @@ def root_identity_suite(r_max):
 
     for p in range(2, r_max // 2 + 1):
         r = 2 * p
-        if r > r_max:
-            break
         for k in _coprime_ks(r):
             g = root_of_v(r, k)
             seq = u_value_seq(g, 8 * p + 4)
@@ -618,7 +612,7 @@ def norm_invertibility_suite(r_max):
     polynomial)."""
     res = SuiteResult("norm_invertibility")
     for r in range(3, r_max + 1):
-        dim = euler_phi(r) // 2 if r > 2 else 1
+        dim = euler_phi(r) // 2
         p = prime_power_class(r)
         p4 = prime_power_class(n_prime(r))
         for k in _coprime_ks(r):

@@ -57,11 +57,7 @@ class SquareMat:
         return acc
 
     def is_identity(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rows[i][j] != (1 if i == j else 0):
-                    return False
-        return True
+        return self.rows[0][0] == 1 and self.is_scalar()
 
     def is_scalar(self):
         d = self.rows[0][0]

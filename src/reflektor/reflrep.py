@@ -222,32 +222,29 @@ def rank3_rep(name, alpha, beta, l, m, conductor):
     return ReflectionRep(name, spec, field_ctx(conductor))
 
 
+def _circuit(name, n, l, m, ctx):
+    """The chain s1 - s2 - ... - sn, each edge (1, 1), closed into a
+    circuit by the cycle edge {1, n} carrying (l, m)."""
+    if n < 3:
+        raise ValueError("need rank >= 3")
+    edges = {(i, i + 1): (1, 1) for i in range(1, n)}
+    edges[(1, n)] = (l, m)
+    return ReflectionRep(name, DiagramSpec(n, edges), ctx)
+
+
 def circuit_rep(p, n):
     """The circuit diagram on n generators whose cycle edge carries
     (zeta_p, zeta_p^-1); the image group is the monomial group of order
     p^(n-1) n!."""
     if p < 2:
         raise ValueError("need p >= 2 (gppn:1:n would be the affine atilde:n)")
-    if n < 3:
-        raise ValueError("need rank >= 3")
     ctx = field_ctx(p)
-    l = ctx.from_fraction(-1) if p == 2 else ctx.zeta(1)
-    m = ctx.from_fraction(-1) if p == 2 else ctx.zeta(-1)
-    edges = {(i, i + 1): (1, 1) for i in range(1, n)}
-    edges[(1, n)] = (l, m)
-    spec = DiagramSpec(n, edges)
-    return ReflectionRep("gppn:%d:%d" % (p, n), spec, ctx)
+    return _circuit("gppn:%d:%d" % (p, n), n, ctx.zeta(1), ctx.zeta(-1), ctx)
 
 
 def affine_circuit_rep(n):
     """Same circuit with both cycle weights 1; infinite (affine) image."""
-    if n < 3:
-        raise ValueError("need rank >= 3")
-    ctx = field_ctx(1)
-    edges = {(i, i + 1): (1, 1) for i in range(1, n)}
-    edges[(1, n)] = (1, 1)
-    spec = DiagramSpec(n, edges)
-    return ReflectionRep("atilde:%d" % n, spec, ctx)
+    return _circuit("atilde:%d" % n, n, 1, 1, field_ctx(1))
 
 
 def gnn3_rep(n, k=1):

@@ -32,6 +32,9 @@ from .upoly import UPoly
 ONE = MPoly.const(1)
 ZERO = MPoly()
 
+# The even orders 2h of s_i s_j at which the half-turn forms are checked.
+_EVEN_ORDERS = (4, 6)
+
 # THETA_P - THETA is the degeneracy invariant delta,
 # THETA + THETA_P = alpha l - beta m.
 THETA, THETA_P = theta_pair(ALPHA, BETA, L, M)
@@ -264,14 +267,15 @@ def _at_roots(roots, conductor):
     return rank3_rep("rank3", a, b, _L0, m, conductor)
 
 
-def verify_half_turns(orders=(4, 6)):
+def verify_half_turns():
     """When s_i s_j has even order 2h, with w = 4 - x y, (s_i s_j)^h is the
     half turn whose rows i and j are (-1, 0, 2 (2p + x q) / w) and
     (0, -1, 2 (y p + 2q) / w), and the C values against the third generator
     collapse to C(s_k, s_t (s_i s_j)^h) = 4 - k_tk k_kt - 2 delta / w for
-    t = i, j.  Checked exactly at v-roots."""
+    t = i, j.  Checked exactly at v-roots, for each order in _EVEN_ORDERS
+    (4 and 6)."""
     res = SuiteResult("half_turns")
-    for order in orders:
+    for order in _EVEN_ORDERS:
         for e, (edge, _, const, _, sj_half) in enumerate(_EDGES):
             i, j, k = edge
             rep = _at_roots({e: root_of_v(order)}, order)
@@ -299,19 +303,19 @@ def verify_half_turns(orders=(4, 6)):
     return res
 
 
-def verify_half_turn_pairs(orders=(4, 6)):
+def verify_half_turn_pairs():
     """C between two half-turn translates when two edges have products of
-    finite even order, for each pair of edges.  With H1 and H2 the half
-    turns, e1 and e2 the edge products, W = (4 - e1)(4 - e2) and
-    C(s_u, s_v) = k_uv k_vu (4 when u = v), for every head s_u of the first
+    finite even order, for each pair of edges and each pair of orders in
+    _EVEN_ORDERS (4 and 6).  With H1 and H2 the half turns, e1 and e2 the
+    edge products, W = (4 - e1)(4 - e2) and C(s_u, s_v) = k_uv k_vu (4 when u = v), for every head s_u of the first
     edge and s_v of the second:
         C(s_u H1, s_v H2) = C(s_u, s_v) (1 - 2 delta / W)
     when s_u or s_v is the generator the two edges share, and
         C(s_u H1, s_v H2) = C(s_u, s_v) + delta (8 - 2 e1 - 2 e2) / W
     otherwise."""
     res = SuiteResult("half_turn_pairs")
-    for o1 in orders:
-        for o2 in orders:
+    for o1 in _EVEN_ORDERS:
+        for o2 in _EVEN_ORDERS:
             cond = lcm(o1, o2)
             r1, r2 = root_of_v(o1), root_of_v(o2)
             for a, b in combinations(range(3), 2):
@@ -418,12 +422,13 @@ def verify_charpoly_catalog(kmax=6):
     return res
 
 
-def verify_charpoly_even_order(orders=(4, 6)):
+def verify_charpoly_even_order():
     """When s2 s3 has even order 2h, the characteristic polynomial of
     t_h = s1 (s2 s3)^h factors as (X + 1)(X^2 - 2(1 - delta/(4 - gamma))X + 1).
-    Checked exactly at v-roots of gamma."""
+    Checked exactly at v-roots of gamma, for each order in _EVEN_ORDERS
+    (4 and 6)."""
     res = SuiteResult("charpoly_even_order")
-    for order in orders:
+    for order in _EVEN_ORDERS:
         rep = _at_roots({2: root_of_v(order)}, order)
         s1, s2, s3 = rep.gens
         one = s1.one

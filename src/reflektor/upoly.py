@@ -265,21 +265,8 @@ def theta(p):
 
 def prime_power_class(n):
     """p when n = 2*p^m with p prime and m >= 1, else 1."""
-    if n % 2 != 0:
-        return 1
-    h = n // 2
-    if h < 2:
-        return 1
-    p = 2
-    while p * p <= h:
-        if h % p == 0:
-            break
-        p += 1
-    else:
-        p = h
-    while h % p == 0:
-        h //= p
-    return p if h == 1 else 1
+    fs = _factorize(n // 2) if n % 2 == 0 else {}
+    return next(iter(fs)) if len(fs) == 1 else 1
 
 
 def _factorize(n):

@@ -95,6 +95,19 @@ def test_lift_preserves_arithmetic(x):
     assert (x + 1).lift(big) == x.lift(big) + 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 12]), st.data())
+def test_conj_is_the_galois_map_of_minus_one(n, data):
+    ctx = field_ctx(n)
+    x = data.draw(cyclo_elems(n))
+    assert x.conj() == x.galois(n - 1)
+    assert x.conj().conj() == x
+    assert (x * ctx.zeta(1)).conj() == x.conj() * ctx.zeta(-1)
+    if n <= 2:
+        # Q(zeta_1) = Q(zeta_2) = Q: conjugation fixes every element
+        assert x.conj() == x
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([1, 5, 7, 12]),
        st.one_of(st.integers(-30, 30), rationals), st.data())

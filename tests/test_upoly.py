@@ -103,6 +103,19 @@ def test_prime_power_class():
     assert prime_power_class(18) == 3
     assert prime_power_class(12) == 1
     assert prime_power_class(15) == 1
+    for n in (0, 2, -2, -4, -6, -18):
+        assert prime_power_class(n) == 1
+    # against its definition: 2 p^m for every prime p (by trial division)
+    # and m >= 1, and 1 for every other n
+    want = {}
+    for p in range(2, 2501):
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            q = p
+            while 2 * q <= 5000:
+                want[2 * q] = p
+                q *= p
+    for n in range(-50, 5001):
+        assert prime_power_class(n) == want.get(n, 1), n
 
 
 def test_cyclotomic_poly():
