@@ -33,12 +33,10 @@ _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here exactly
 
 
 class ClosureResult:
-    def __init__(self, order, cap_exceeded, ctx, size, elements=None,
-                 dens=None, stats=None):
+    def __init__(self, order, cap_exceeded, elements=None, dens=None,
+                 stats=None):
         self.order = order
         self.cap_exceeded = cap_exceeded
-        self.ctx = ctx
-        self.size = size
         # (order, n*d, n) int64 first-column forms and their denominators,
         # or None
         self.elements = elements
@@ -167,9 +165,8 @@ def closure(gens, cap=1_000_000, store_elements=True):
         if store_elements:
             kept.append((frontier, fdens))
     if capped or not store_elements:
-        return ClosureResult(total, capped, ctx, n, stats=stats)
-    return ClosureResult(total, False, ctx, n,
-                         np.concatenate([a for a, _ in kept]),
+        return ClosureResult(total, capped, stats=stats)
+    return ClosureResult(total, False, np.concatenate([a for a, _ in kept]),
                          np.concatenate([b for _, b in kept]), stats)
 
 
@@ -226,7 +223,7 @@ def center_order(result, gens):
                          "the whole group")
     if result.elements is None:
         raise ValueError("closure was run without element storage")
-    ctx, n = result.ctx, result.size
+    ctx, n = gens[0].rows[0][0].ctx, gens[0].n
     shape = (-1, n, ctx.degree, n)  # [x, i, a, j]: coefficient a of x_ij
     x, dens = result.elements, result.dens
     for g in gens:

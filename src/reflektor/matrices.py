@@ -130,16 +130,12 @@ def mat_word(mats, word):
 
 def pair_C(s, t):
     """C(s, t) = trace((s - 1)(t - 1)) for two reflections (trace n - 2),
-    over any entry ring; the pairing that controls the order of s t."""
+    over any entry ring; the pairing that controls the order of s t.  With
+    both traces n - 2 it is trace(s t) + 4 - n: one sum_ring of the rows
+    of s against the columns of t."""
     n = s.n
     for mat in (s, t):
         if mat.trace() != n - 2:
             raise ValueError("pair_C expects reflections "
                              "(trace must be n - 2)")
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            term = (s.rows[i][j] - (1 if i == j else 0)) * \
-                   (t.rows[j][i] - (1 if i == j else 0))
-            acc = term if acc is None else acc + term
-    return acc
+    return sum_ring(sum(s.rows, ()), sum(zip(*t.rows), ()), s.zero) + (4 - n)

@@ -2,9 +2,11 @@
 
 A diagram on generators s1..sn carries, for each edge {i, j}, a pair of
 weights (k_ij, k_ji): the generator s_i sends the basis vector a_j to
-a_j + k_ij a_i (and negates a_i).  Matrices act on coordinate columns and a
-word s_{i1} s_{i2} ... multiplies left to right.  Tree edges are decorated
-(C, 1); the single cycle edge, when there is one, carries the pair (l, m).
+a_j + k_ij a_i (and negates a_i), so k_ij is row i, column j of s_i and a
+ReflectionRep keeps the generators alone.  Matrices act on coordinate
+columns and a word s_{i1} s_{i2} ... multiplies left to right.  Tree edges
+are decorated (C, 1); the single cycle edge, when there is one, carries
+the pair (l, m).
 
 Fixed presets are one table of small builders, _PRESETS, run when a preset
 is asked for; the parameterized families (the circuit diagrams and the
@@ -18,40 +20,28 @@ from .cyclo import field_ctx, named_constant, to_field
 from .matrices import SquareMat, mat_word, pair_C
 from .upoly import v_poly
 
-class DiagramSpec:
-    def __init__(self, rank, edges):
-        """edges: dict {(i, j): (k_ij, k_ji)} with 1 <= i < j <= rank."""
-        self.rank = rank
-        self.edges = dict(edges)
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= rank):
-                raise ValueError("bad edge (%d, %d)" % (i, j))
-
-
-def rank3_edges(alpha, beta, l, m, one):
+def rank3_edges(alpha, beta, l, m):
     """The fixed rank-3 layout: alpha = k_12 and beta = k_13 with
-    k_21 = k_31 = one, and the cycle pair (l, m) on {2, 3}."""
-    return {(1, 2): (alpha, one), (1, 3): (beta, one), (2, 3): (l, m)}
+    k_21 = k_31 = 1, and the cycle pair (l, m) on {2, 3}."""
+    return {(1, 2): (alpha, 1), (1, 3): (beta, 1), (2, 3): (l, m)}
 
 
-def build_generators(spec, one, zero):
-    """The rank reflection matrices of spec over any ring: one and zero are
-    its unit and zero, and the edge weights are elements of it."""
-    n = spec.rank
-    weights = {}
-    for (i, j), (kij, kji) in spec.edges.items():
-        weights[(i, j)] = kij
-        weights[(j, i)] = kji
-
-    gens = []
-    for i in range(1, n + 1):
-        rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
-        rows[i - 1][i - 1] = -one
-        for j in range(1, n + 1):
-            if j != i and (i, j) in weights:
-                rows[i - 1][j - 1] = weights[(i, j)]
-        gens.append(SquareMat(rows, one, zero))
-    return gens
+def build_generators(rank, edges, one, zero):
+    """The rank reflection matrices of the diagram with edges
+    {(i, j): (k_ij, k_ji)}, 1 <= i < j <= rank, over any ring: one and zero
+    are its unit and zero, and the weights are elements of it or ints.
+    Only row i of s_i differs from the identity, -1 at i and k_ij at j, so
+    every s_i is an involution for every weight in any commutative ring:
+    (s_i^2)_ii = (-1)(-1) = 1 and (s_i^2)_ij = -k_ij + k_ij = 0."""
+    ident = SquareMat.identity(rank, one, zero).rows
+    own = [[-one if r == c else zero for c in range(rank)]
+           for r in range(rank)]  # own[i - 1] is row i of s_i
+    for (i, j), (kij, kji) in edges.items():
+        if not 1 <= i < j <= rank:
+            raise ValueError("bad edge (%d, %d)" % (i, j))
+        own[i - 1][j - 1], own[j - 1][i - 1] = kij, kji
+    return [SquareMat(ident[:r] + (row,) + ident[r + 1:], one, zero)
+            for r, row in enumerate(own)]
 
 
 def delta(a, b, l, m):
@@ -69,20 +59,21 @@ def theta_pair(a, b, l, m):
 
 
 class ReflectionRep:
-    def __init__(self, name, spec, ctx):
+    def __init__(self, name, rank, edges, ctx):
         self.name = name
-        self.spec = DiagramSpec(
-            spec.rank, {e: (to_field(kij, ctx), to_field(kji, ctx))
-                        for e, (kij, kji) in spec.edges.items()})
         self.ctx = ctx
-        self.gens = build_generators(self.spec, ctx.one(), ctx.zero())
-        for i, s in enumerate(self.gens):
-            if not (s * s).is_identity():
-                raise ValueError("generator s%d is not an involution" % (i + 1))
+        self.gens = build_generators(
+            rank, {e: (to_field(kij, ctx), to_field(kji, ctx))
+                   for e, (kij, kji) in edges.items()},
+            ctx.one(), ctx.zero())
 
     @property
     def rank(self):
-        return self.spec.rank
+        return len(self.gens)
+
+    def weight(self, i, j):
+        """k_ij (1-based, i != j), read off row i of s_i; 0 off the diagram."""
+        return self.gens[i - 1].rows[i - 1][j - 1]
 
     def word(self, indices):
         """Matrix of the word given as 1-based generator indices."""
@@ -102,13 +93,11 @@ class ReflectionRep:
         if self.rank != 3:
             raise ValueError("%s has rank %d; the edge constants and delta "
                              "need rank 3" % (self.name, self.rank))
-        absent = (self.ctx.zero(), self.ctx.zero())
-        (a, k21), (b, k31), (l, m) = (self.spec.edges.get(e, absent)
-                                      for e in ((1, 2), (1, 3), (2, 3)))
-        if k21 != 1 or k31 != 1:
+        if self.weight(2, 1) != 1 or self.weight(3, 1) != 1:
             raise ValueError("%s has k_21 or k_31 other than 1; the edge "
                              "constants and delta need it" % self.name)
-        return a, b, l, m
+        return (self.weight(1, 2), self.weight(1, 3), self.weight(2, 3),
+                self.weight(3, 2))
 
     def delta(self):
         return delta(*self.edge_constants())
@@ -214,12 +203,12 @@ def preset(name):
     made = build(*preset_constants(name))
     if rank == 3:
         return rank3_rep(name, *made, conductor)
-    return ReflectionRep(name, DiagramSpec(4, made), field_ctx(conductor))
+    return ReflectionRep(name, rank, made, field_ctx(conductor))
 
 
 def rank3_rep(name, alpha, beta, l, m, conductor):
-    spec = DiagramSpec(3, rank3_edges(alpha, beta, l, m, 1))
-    return ReflectionRep(name, spec, field_ctx(conductor))
+    return ReflectionRep(name, 3, rank3_edges(alpha, beta, l, m),
+                         field_ctx(conductor))
 
 
 def _circuit(name, n, l, m, ctx):
@@ -229,7 +218,7 @@ def _circuit(name, n, l, m, ctx):
         raise ValueError("need rank >= 3")
     edges = {(i, i + 1): (1, 1) for i in range(1, n)}
     edges[(1, n)] = (l, m)
-    return ReflectionRep(name, DiagramSpec(n, edges), ctx)
+    return ReflectionRep(name, n, edges, ctx)
 
 
 def circuit_rep(p, n):

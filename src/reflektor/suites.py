@@ -19,7 +19,7 @@ from .engine import (closure, element_order, scalar_power_check, is_unipotent,
 from .matrices import pair_C
 from .mpoly import L, M, GAMMA, prem
 from .report import SuiteResult, timed
-from .reflrep import (DiagramSpec, build_generators, rank3_edges, delta,
+from .reflrep import (build_generators, rank3_edges, delta,
                       preset, preset_constants, rank3_rep, circuit_rep,
                       affine_circuit_rep, gnn3_rep)
 from . import sympoly
@@ -308,7 +308,7 @@ def suite_s4_affine(prof):
                   (p, n, "braid_relation"))
         res.check(check_relation(rep.gens, s0 + [n], p), (p, n, "s0sn_order"))
         # cycle constants: l m = 1 and C(s0, sn) = (l+1)(m+1) = l+m+2
-        l, m = rep.spec.edges[(1, n)]
+        l, m = rep.weight(1, n), rep.weight(n, 1)
         res.check(l * m == 1, (p, n, "lm"))
         c = pair_C(rep.word(s0), rep.gens[n - 1])
         res.check(c == (l + 1) * (m + 1), (p, n, "C_s0sn"))
@@ -333,8 +333,8 @@ def suite_s4_gnn3(prof):
     # (s2s3s1)^2 holds exactly on the locus l + m = -gamma; every entry of
     # the difference is divisible by gamma + l + m
     one = sympoly.ONE
-    s1, s2, s3 = build_generators(
-        DiagramSpec(3, rank3_edges(one, one, L, M, one)), one, sympoly.ZERO)
+    s1, s2, s3 = build_generators(3, rank3_edges(one, one, L, M), one,
+                                  sympoly.ZERO)
     lhs = (s1 * s2 * s3) ** 2
     rhs = (s2 * s3 * s1) ** 2
     locus = GAMMA + L + M

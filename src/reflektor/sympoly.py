@@ -24,8 +24,8 @@ from math import lcm
 from .cyclo import root_of_v, u_value_seq, u_at
 from .matrices import SquareMat, pair_C
 from .mpoly import MPoly, ALPHA, BETA, GAMMA, L, M, prem
-from .reflrep import (DiagramSpec, build_generators, rank3_edges, rank3_rep,
-                      delta, theta_pair)
+from .reflrep import (build_generators, rank3_edges, rank3_rep, delta,
+                      theta_pair)
 from .report import SuiteResult
 from .upoly import UPoly
 
@@ -40,8 +40,7 @@ _EVEN_ORDERS = (4, 6)
 THETA, THETA_P = theta_pair(ALPHA, BETA, L, M)
 
 # s1, s2, s3 with symbolic edge constants (columns convention)
-GENS = tuple(build_generators(
-    DiagramSpec(3, rank3_edges(ALPHA, BETA, L, M, ONE)), ONE, ZERO))
+GENS = tuple(build_generators(3, rank3_edges(ALPHA, BETA, L, M), ONE, ZERO))
 
 # Each s_i is an involution of determinant -1 (det(X - s_i) ends in +1);
 # the char polys of the catalog are read off traces on these premises.
@@ -307,8 +306,8 @@ def verify_half_turn_pairs():
     """C between two half-turn translates when two edges have products of
     finite even order, for each pair of edges and each pair of orders in
     _EVEN_ORDERS (4 and 6).  With H1 and H2 the half turns, e1 and e2 the
-    edge products, W = (4 - e1)(4 - e2) and C(s_u, s_v) = k_uv k_vu (4 when u = v), for every head s_u of the first
-    edge and s_v of the second:
+    edge products, W = (4 - e1)(4 - e2) and C(s_u, s_v) = k_uv k_vu (4
+    when u = v), for every head s_u of the first edge and s_v of the second:
         C(s_u H1, s_v H2) = C(s_u, s_v) (1 - 2 delta / W)
     when s_u or s_v is the generator the two edges share, and
         C(s_u H1, s_v H2) = C(s_u, s_v) + delta (8 - 2 e1 - 2 e2) / W

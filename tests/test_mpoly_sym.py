@@ -6,7 +6,7 @@ import pytest
 
 from reflektor.matrices import pair_C
 from reflektor.mpoly import MPoly, ALPHA, BETA, L, M, GAMMA, prem
-from reflektor.reflrep import DiagramSpec, build_generators
+from reflektor.reflrep import build_generators
 from reflektor import sympoly
 
 
@@ -83,9 +83,8 @@ def test_section2_at_generic_weights(monkeypatch, weights):
     # GENS has k_21 = k_31 = 1; six distinct weights, none +-1, exercise
     # every k_ab of every closed form
     k12, k21, k13, k31, k23, k32 = (MPoly.const(w) for w in weights)
-    spec = DiagramSpec(3, {(1, 2): (k12, k21), (1, 3): (k13, k31),
-                           (2, 3): (k23, k32)})
-    gens = build_generators(spec, sympoly.ONE, sympoly.ZERO)
+    edges = {(1, 2): (k12, k21), (1, 3): (k13, k31), (2, 3): (k23, k32)}
+    gens = build_generators(3, edges, sympoly.ONE, sympoly.ZERO)
     monkeypatch.setattr(sympoly, "GENS", gens)
     for res in (sympoly.verify_power_formulas(3),
                 sympoly.verify_reflection_formulas(3),

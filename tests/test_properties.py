@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
@@ -16,9 +17,9 @@ from reflektor.cyclo import (CycloElem, ModPMap, _bareiss,
 from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
                                   MAJORANT, Ring)
 from reflektor.engine import _keys, apply_rep, closure, regular_rep
-from reflektor.matrices import SquareMat, mat_word
+from reflektor.matrices import SquareMat, mat_word, pair_C
 from reflektor.mpoly import ALPHA, MPoly
-from reflektor.reflrep import preset, rank3_rep
+from reflektor.reflrep import build_generators, preset, rank3_rep
 from reflektor.sympoly import GENS
 from reflektor.upoly import UPoly, X, euler_phi, u_poly
 
@@ -782,6 +783,75 @@ def test_int64_steps_count_the_fallback(weight, steps):
                                   "gppn:4:4"])
 def test_finite_presets_take_only_float_steps(name):
     assert closure(preset(name).gens).stats["int64_steps"] == 0
+
+
+# -- diagrams: build_generators and the C pairing ------------------------
+
+def random_diagrams(conductors, ranks):
+    """(rank, edges, ctx): a random subset of the pairs i < j, each with a
+    random weight pair in Q(zeta_N)."""
+    def build(n, rank, data):
+        pairs = [(i, j) for i in range(1, rank + 1)
+                 for j in range(i + 1, rank + 1)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        edges = {e: (data.draw(cyclo_elems(n)), data.draw(cyclo_elems(n)))
+                 for e in chosen}
+        return rank, edges, field_ctx(n)
+
+    return st.builds(build, st.sampled_from(conductors),
+                     st.sampled_from(ranks), st.data())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_diagrams([1, 3, 5, 12], [2, 3, 4, 5]))
+def test_build_generators_makes_reflections(diagram):
+    rank, edges, ctx = diagram
+    gens = build_generators(rank, edges, ctx.one(), ctx.zero())
+    assert len(gens) == rank
+    for s in gens:
+        assert (s * s).is_identity()
+        assert s.trace() == rank - 2
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_build_generators_refuses_bad_edges(rank):
+    for edge in [(2, 1), (0, 1), (1, rank + 1)]:
+        message = re.escape("bad edge %r" % (edge,))
+        with pytest.raises(ValueError, match=message):
+            build_generators(rank, {edge: (1, 1)}, 1, 0)
+
+
+def _minus_identity(mat):
+    return SquareMat([[x - (1 if i == j else 0) for j, x in enumerate(row)]
+                      for i, row in enumerate(mat.rows)], mat.one, mat.zero)
+
+
+def _pair_C_by_definition(s, t):
+    """trace((s - I)(t - I)) by SquareMat arithmetic."""
+    return (_minus_identity(s) * _minus_identity(t)).trace()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_diagrams([1, 3, 5, 12], [2, 3, 4]), st.data())
+def test_pair_C_matches_its_definition(diagram, data):
+    rank, edges, ctx = diagram
+    gens = build_generators(rank, edges, ctx.one(), ctx.zero())
+    letters = st.integers(1, rank)
+    reflections = list(gens)
+    for i in range(1, rank + 1):
+        w = data.draw(st.lists(letters, max_size=3))
+        reflections.append(mat_word(gens, w[::-1] + [i] + w))  # s_i^w
+    s, t = (data.draw(st.sampled_from(reflections)) for _ in range(2))
+    got, ref = pair_C(s, t), _pair_C_by_definition(s, t)
+    assert type(got) is CycloElem and (got.vec, got.den) == (ref.vec, ref.den)
+
+
+def test_symbolic_pair_C_matches_its_definition():
+    conjugates = [mat_word(GENS, [j, i, j])
+                  for i in range(1, 4) for j in range(1, 4)]
+    for s in GENS:
+        for t in list(GENS) + conjugates:
+            assert pair_C(s, t) == _pair_C_by_definition(s, t)
 
 
 # -- identity catalog: the L1 majorant against UPoly --------------------

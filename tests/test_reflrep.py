@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 
 from reflektor.cyclo import field_ctx, named_constant, root_of_v
-from reflektor.reflrep import (DiagramSpec, ReflectionRep, build_generators,
-                               preset, preset_names, rank3_rep,
-                               circuit_rep, affine_circuit_rep, gnn3_rep)
+from reflektor.reflrep import (ReflectionRep, build_generators, preset,
+                               preset_names, rank3_rep, circuit_rep,
+                               affine_circuit_rep, gnn3_rep)
 from reflektor.engine import element_order
 from reflektor.matrices import pair_C
 from reflektor.suites import _GROUPS, run_suite
@@ -81,8 +81,7 @@ def test_generators_are_reflections():
 def test_rank2_build_example():
     # two generators joined by a plain edge: s1 s2 has order 3
     ctx = field_ctx(1)
-    spec = DiagramSpec(2, {(1, 2): (1, 1)})
-    s1, s2 = build_generators(spec, ctx.one(), ctx.zero())
+    s1, s2 = build_generators(2, {(1, 2): (1, 1)}, ctx.one(), ctx.zero())
     assert element_order(s1 * s2) == 3
 
 
@@ -90,6 +89,23 @@ def test_edge_constants_layout():
     rep = rank3_rep("t", 2, 3, 5, 7, 1)
     a, b, l, m = rep.edge_constants()
     assert (a, b, l, m) == (2, 3, 5, 7)
+
+
+def test_edge_constants_need_rank_3():
+    with pytest.raises(ValueError, match="h4_1 has rank 4; the edge "
+                                         "constants and delta need rank 3"):
+        preset("h4_1").edge_constants()
+
+
+@pytest.mark.parametrize("rep", [
+    preset("gppn:3:3"),  # k_31 = zeta_3^-1
+    ReflectionRep("t", 3, {(1, 3): (1, 1), (2, 3): (1, 1)}, field_ctx(1)),
+], ids=["gppn:3:3", "no_12_edge"])
+def test_edge_constants_need_the_fixed_layout(rep):
+    with pytest.raises(ValueError, match="%s has k_21 or k_31 other than "
+                                         "1; the edge constants and delta "
+                                         "need it" % rep.name):
+        rep.edge_constants()
 
 
 def test_delta_and_theta_pair_agree():
