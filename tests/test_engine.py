@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -6,8 +7,8 @@ from reflektor.engine import (closure, element_order,
                               scalar_power_check, is_unipotent,
                               check_relation, conjugate, center_order,
                               monomial_group_order)
-from reflektor.reflrep import (preset, rank3_rep, circuit_rep,
-                               affine_circuit_rep)
+from reflektor.reflrep import (preset, preset_names, rank3_rep,
+                               circuit_rep, affine_circuit_rep)
 
 
 def test_closure_of_symmetric_group_rep():
@@ -116,3 +117,37 @@ def test_gppn_closure_matches_monomial_model(p, n):
     res = closure(rep.gens)
     assert res.order == monomial_group_order(p, n)
     assert center_order(res, rep.gens) == gcd(p, n)
+
+
+def _closure_record(h, name, res):
+    h.update(repr((name, res.order, res.cap_exceeded,
+                   sorted(res.stats.items()))).encode())
+    if res.elements is not None:
+        h.update(res.elements.tobytes())
+        h.update(res.dens.tobytes())
+
+
+def test_closure_digest():
+    # order, cap flag, stats and the stored first-column forms of finite
+    # closures, capped growth at cap 4000, and atilde:3 at the default
+    # cap; any change to the BFS order, the keys or the stats changes it
+    h = hashlib.sha256()
+    finite = ([name for name in preset_names() if name != "cor9_g2t"]
+              + ["gppn:%d:%d" % (p, n) for p in range(2, 6) for n in (3, 4)]
+              + ["gppn:2:6"]
+              + ["gnn3:%d:%d" % (n, k) for n in range(2, 9)
+                 for k in range(1, n) if gcd(n, k) == 1])
+    for name in finite:
+        res = closure(preset(name).gens)
+        assert not res.cap_exceeded, name
+        _closure_record(h, name, res)
+    for w in (2, 9, 16, 20, 40):
+        rep = rank3_rep("grow:%d" % w, w, w, w, w, 1)
+        _closure_record(h, rep.name, closure(rep.gens, cap=4000))
+    for name in ["atilde:%d" % n for n in range(3, 7)] + ["cor9_g2t"]:
+        _closure_record(h, name, closure(preset(name).gens, cap=4000))
+    res = closure(preset("atilde:3").gens, store_elements=False)
+    assert res.cap_exceeded
+    _closure_record(h, "atilde:3", res)
+    assert h.hexdigest() == (
+        "acb5d9ce3a1c2bf14d7226a634ea84ccfdb33f5cd8ea3b47490d7846cc753bb5")
