@@ -681,11 +681,11 @@ def quad_power_suite():
 
 class ModPMap:
     """The ring map Z[zeta_M] -> F_p, zeta_M -> w, for the first prime
-    p = 1 mod M with a generator g < 500 of F_p*, and w = g^((p-1)/M) of
-    order M.  Since p splits completely in Q(zeta_M), w is a root of Phi_M
-    mod p, so the map is a ring homomorphism (Washington, Introduction to
-    Cyclotomic Fields, ch. 2); on Q(zeta_L) with L | M it sends zeta_L to
-    w^(M/L).
+    p = 1 mod M above `above` with a generator g < 500 of F_p*, and
+    w = g^((p-1)/M) of order M.  Since p splits completely in Q(zeta_M),
+    w is a root of Phi_M mod p, so the map is a ring homomorphism
+    (Washington, Introduction to Cyclotomic Fields, ch. 2); on Q(zeta_L)
+    with L | M it sends zeta_L to w^(M/L).
 
     g is tested against the primes of p - 1 = j M, which are those of M and
     those of j, so no loop runs up to p.  A g with g^(p-1) = 1 and
@@ -693,9 +693,9 @@ class ModPMap:
     a candidate that passes the Fermat screen but has no such g below 500
     is passed over."""
 
-    def __init__(self, m):
+    def __init__(self, m, above=0):
         self.M = m
-        j = 0
+        j = above // m
         while True:
             j += 1
             p = j * m + 1

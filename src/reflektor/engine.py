@@ -4,32 +4,60 @@ diagnostics (orders, scalar powers, unipotence, relations, center).
 An element x with denominator den is stored as the integer matrix den * x
 in first-column form: an int64 array of shape (n*d, n) whose column j
 stacks the zeta-coefficient vectors of the entries of column j.  The
-denominator is positive and the gcd of it and every entry is 1, so the
-denominator and the entries together are a canonical key.  A generator g
-with denominator den becomes R(g), the (n*d) x (n*d) integer matrix whose
-block (i, k) multiplies by den * g_ik on the power basis of Z[zeta_N]
-(Cohen, A Course in Computational Algebraic Number Theory, 4.2), so the
-first-column form of g*x is R(g) @ C(x).  One BFS layer times one
-generator is a single batched matmul, exact because a bound on every
-partial sum is checked before it is taken.  With peak = max |C(x)| and
-rowsum the largest absolute row sum of R(g), every product and partial sum
-is an integer of magnitude at most peak * rowsum.  Up to 2^53 the matmul
-runs in float64 (BLAS), where such integers are exact whatever the order
-of summation; up to 2^63 - 1 it falls back to int64; past that it raises
-OverflowError.  Dedup keys are the bytes of the row [den | entries], as
-int8 when every value of the row fits in one byte, else as int64; the
-width depends on the row alone, so an element always has the same key.
+denominator is positive and the gcd of it and every entry is 1.  A
+generator g with denominator den becomes R(g), the (n*d) x (n*d) integer
+matrix whose block (i, k) multiplies by den * g_ik on the power basis of
+Z[zeta_N] (Cohen, A Course in Computational Algebraic Number Theory, 4.2),
+so the first-column form of g*x is R(g) @ C(x).
+
+The BFS works on base images (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 4.4): x is fixed by x(e_1), .., x(e_n), its
+columns, and a finite group moves the basis through few points (240 for
+W(H4) against 14,400 elements).  A point is stored exactly, as a
+gcd-normalised (den, numerator) keyed by the int64 bytes of that row, so
+two points share an id exactly when they are equal, and an element is the
+row of the ids of its columns.  Each generator acts on ids through a
+table, filled for the points not yet mapped by one matmul per layer for
+all generators; a BFS step is a gather.  The ids of a row packed into one
+int64 (63 // n bits each, or the row's bytes once the table outgrows that)
+are then equal exactly when the elements are, so dedup is a sort of these
+keys and a search among the sorted keys of earlier layers.  When every
+generator is an involution (R(g)^2 = den^2 I, checked exactly) the Cayley
+graph is undirected and a product of layer L lies in layer L - 1, L or
+L + 1, so only the last two layers are searched; otherwise all of them.
+
+The guard is the one a matmul of first-column forms would need.  With
+peak = max |C(x)| over the frontier and rowsum the largest absolute row
+sum of R(g), every product and partial sum of R(g) @ C(x) is an integer of
+magnitude at most peak * rowsum.  So the guard bounds the next layer's
+first-column forms, and the point products too, whose numerators are at
+most peak.  Up to 2^53 a matmul runs in float64 (BLAS), where such
+integers are exact whatever the order of summation; up to 2^63 - 1 it
+runs in int64; past that the closure raises OverflowError.  int64_steps
+still counts the (layer, generator) steps whose bound passes 2^53.
+
+A closure whose point table outgrows its elements (a group of exponential
+growth, where nearly every product brings new points) goes on with the
+first-column forms themselves, as one matmul per generator and layer and
+one bytes key per element, [den | entries] as int64, in a set.
 """
 
 from math import lcm
 
 import numpy as np
 
+from .cyclo import ModPMap, _parts
 from .matrices import mat_word
 from .upoly import UPoly
 
 _INT64_MAX = (1 << 63) - 1
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here exactly
+# past this many elements, a closure whose point table holds more than
+# _BYTES_RATIO points an element goes on with first-column forms: past 256
+# elements the finite presets and families stay under 1.8 (1.72 for
+# g27_d), while rank-3 growth closures keep 2.1 to 3 for good
+_BYTES_AFTER = 256
+_BYTES_RATIO = 2
 
 
 class ClosureResult:
@@ -43,9 +71,10 @@ class ClosureResult:
         self.dens = dens
         # layers: frontiers multiplied out (for a finite group the last
         # yields nothing new); peak_frontier: the largest of them;
-        # max_entry_bits: bit length of the largest coefficient multiplied,
-        # against an int64 budget of 63 bits; int64_steps: generator steps
-        # past the float64 bound that took the int64 matmul
+        # max_entry_bits: bit length of the largest coefficient of a
+        # frontier's first-column forms, against an int64 budget of 63
+        # bits; int64_steps: (layer, generator) steps whose product bound
+        # passes 2^53, the float64 limit
         self.stats = stats
 
     def __repr__(self):
@@ -56,13 +85,15 @@ class ClosureResult:
 def regular_rep(rows, ctx):
     """(R, den, rowsum) for a matrix given by rows of CycloElem entries:
     den is the common denominator, R the int64 regular representation of
-    den * rows, and rowsum the largest absolute row sum of R."""
+    den * rows, and rowsum the largest absolute row sum of R.  An entry of
+    another conductor raises ValueError."""
     d = ctx.degree
-    den = lcm(*(x.den for row in rows for x in row))
+    parts = [[_parts(ctx, x) for x in row] for row in rows]
+    den = lcm(*(xden for row in parts for _, xden in row))
     big = [[0] * (len(rows) * d) for _ in range(len(rows) * d)]
-    for i, row in enumerate(rows):
-        for k, x in enumerate(row):
-            cols = ctx.mul_columns([c * (den // x.den) for c in x.vec])
+    for i, row in enumerate(parts):
+        for k, (vec, xden) in enumerate(row):
+            cols = ctx.mul_columns([c * (den // xden) for c in vec])
             for b, col in enumerate(cols):
                 for a, c in enumerate(col):
                     big[i * d + a][k * d + b] = c
@@ -103,37 +134,142 @@ def _void_rows(rows):
 
 
 def _keys(batch, dens):
-    """One bytes key per element, from its row [den | entries]: int8 bytes
-    when every value of the row fits in int8, else int64 bytes.  The two
-    widths differ in length, so keys of different widths never collide."""
+    """One bytes key per element: the int64 bytes of its row
+    [den | entries], so every key of a closure has the same width."""
     rows = np.empty((len(batch), 1 + batch[0].size), dtype=np.int64)
     rows[:, 0] = dens
     rows[:, 1:] = batch.reshape(len(batch), -1)
-    if rows.min() >= -128 and rows.max() <= 127:
-        return _void_rows(rows.astype(np.int8))
-    keys = _void_rows(rows)
-    small = np.flatnonzero(np.all((rows >= -128) & (rows <= 127), axis=1))
-    for i, k in zip(small.tolist(), _void_rows(rows[small].astype(np.int8))):
-        keys[i] = k
-    return keys
+    return _void_rows(rows)
 
 
-def closure(gens, cap=1_000_000, store_elements=True):
-    """Breadth-first closure of the group generated by SquareMat generators
-    with CycloElem entries, multiplying each new layer on the left by each
-    generator.  Stops once more than cap distinct elements have been
-    found, reporting cap_exceeded instead of an order."""
-    ctx = gens[0].rows[0][0].ctx
-    n, d = gens[0].n, ctx.degree
-    reps = [regular_rep(g.rows, ctx) for g in gens]
-    frontier = np.zeros((1, n * d, n), dtype=np.int64)
-    frontier[0, np.arange(n) * d, np.arange(n)] = 1
-    fdens = np.ones(1, dtype=np.int64)
-    seen = set(_keys(frontier, fdens))
-    kept = [(frontier, fdens)]
-    stats = {"layers": 0, "peak_frontier": 1, "max_entry_bits": 1,
-             "int64_steps": 0}
-    total = 1
+def _is_involution(rep):
+    """R(g)^2 = den^2 I, exactly: g is its own inverse."""
+    mat, den, rowsum = rep
+    if max(rowsum, den) ** 2 > _INT64_MAX:
+        mat = mat.astype(object)
+    return np.array_equal(mat @ mat,
+                          np.eye(len(mat), dtype=mat.dtype) * (den * den))
+
+
+def _pack(ids, points):
+    """One key per row of point ids: the ids packed into one int64 while
+    the table has at most 2^(63 // n) points, else the bytes of the row."""
+    n = ids.shape[-1]
+    ids = ids.reshape(-1, n)
+    bits = 63 // n
+    if points <= 1 << bits:
+        return ids @ (1 << bits * np.arange(n, dtype=np.int64))
+    return np.ascontiguousarray(ids).view(np.dtype((np.void, 8 * n))).ravel()
+
+
+def _firsts(keys):
+    """The distinct keys, sorted, and the index of each one's first
+    occurrence."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return keys[head], order[head]
+
+
+def _known(sorted_keys, keys):
+    """Which keys occur in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = sorted_keys.searchsorted(keys)
+    pos[pos == len(sorted_keys)] = 0
+    return sorted_keys[pos] == keys
+
+
+def _merge(*keys):
+    return np.sort(np.concatenate(keys), kind="stable")
+
+
+class _Points:
+    """The exact points met so far, each a gcd-normalised (den, numerator)
+    with a positive den, and the action of the generators on them: act[g, p]
+    is the id of g * p, or -1 until it is needed."""
+
+    def __init__(self, n, d, reps, involutions):
+        self.ids = {}
+        self.num = np.zeros((4 * n, n * d), dtype=np.int64)
+        self.den = np.zeros(4 * n, dtype=np.int64)
+        self.top = np.zeros(4 * n, dtype=np.int64)  # max |numerator|
+        self.act = np.full((len(reps), 4 * n), -1, dtype=np.int64)
+        self.rational = True  # every den is 1
+        self.stack = np.concatenate([r[0] for r in reps])
+        self.dens = np.array([r[1] for r in reps], dtype=np.int64)
+        self.rowsums = [r[2] for r in reps]
+        self.involutions = involutions
+        eye = np.zeros((n, n * d), dtype=np.int64)
+        eye[np.arange(n), np.arange(n) * d] = 1
+        self.add(eye, np.ones(n, dtype=np.int64))
+
+    def add(self, num, den):
+        """Ids of the points num / den (already normalised), adding the
+        ones not met before."""
+        rows = np.empty((len(num), 1 + num.shape[1]), dtype=np.int64)
+        rows[:, 0] = den
+        rows[:, 1:] = num
+        table, before = self.ids, len(self.ids)
+        ids = np.array([table.setdefault(k, len(table))
+                        for k in _void_rows(rows)], dtype=np.int64)
+        end = len(table)
+        if end > before:
+            # new ids are handed out in order, so a row brings a new point
+            # exactly when its id passes every id before it
+            fresh = ids > np.maximum.accumulate(np.concatenate(
+                ([before - 1], ids[:-1])))
+            if end > len(self.den):
+                grow = max(end, 2 * len(self.den)) - len(self.den)
+                self.num = np.concatenate(
+                    [self.num, np.zeros((grow, num.shape[1]), np.int64)])
+                self.den = np.concatenate([self.den, np.zeros(grow, np.int64)])
+                self.top = np.concatenate([self.top, np.zeros(grow, np.int64)])
+                self.act = np.concatenate(
+                    [self.act, np.full((len(self.act), grow), -1, np.int64)],
+                    axis=1)
+            self.num[before:end] = num[fresh]
+            self.den[before:end] = den[fresh]
+            self.top[before:end] = np.abs(num[fresh]).max(axis=1)
+        return ids
+
+    def fill(self, live, used):
+        """Compute the missing images of the points used (distinct ids,
+        each missing some image) under the first live generators, all in
+        one product."""
+        gi, at = np.nonzero(self.act[:live, used] < 0)
+        nd = self.num.shape[1]
+        # the generators' R stacked, as one R of den 1: the dens of the
+        # products are the point dens times each generator's den
+        out, pden, _ = apply_rep(
+            (self.stack[:live * nd], 1, max(self.rowsums[:live])),
+            self.num[used].T[None], self.den[used],
+            int(self.top[used].max()))
+        num = out[0].reshape(live, nd, len(used))[gi, :, at]
+        den = self.dens[gi] * pden[at]
+        if den.max() > 1:
+            g = np.gcd(np.gcd.reduce(num, axis=1), den)
+            num //= g[:, None]
+            den //= g
+            self.rational = self.rational and den.max() == 1
+        ids = self.add(num, den)
+        self.act[gi, used[at]] = ids
+        if self.involutions:  # g * (g * p) = p
+            self.act[gi, ids] = used[at]
+
+    def forms(self, ids):
+        """(first-column forms, dens) of the elements with these rows of
+        base-image ids."""
+        dens = self.den[ids]
+        eden = np.lcm.reduce(dens, axis=1)
+        cols = self.num[ids] * (eden[:, None] // dens)[:, :, None]
+        return np.ascontiguousarray(cols.transpose(0, 2, 1)), eden
+
+
+def _grow_bytes(reps, frontier, fdens, seen, stats, total, cap, kept):
+    """The BFS continued on first-column forms, one bytes key per element
+    in the set seen; returns the order and whether the cap was passed."""
     capped = False
     while len(frontier) and not capped:
         stats["layers"] += 1
@@ -162,12 +298,100 @@ def closure(gens, cap=1_000_000, store_elements=True):
         frontier = np.concatenate([a for a, _ in layer])
         fdens = np.concatenate([b for _, b in layer])
         stats["peak_frontier"] = max(stats["peak_frontier"], len(frontier))
-        if store_elements:
+        if kept is not None:
             kept.append((frontier, fdens))
+    return total, capped
+
+
+def closure(gens, cap=1_000_000, store_elements=True):
+    """Breadth-first closure of the group generated by SquareMat generators
+    with CycloElem entries, multiplying each new layer on the left by each
+    generator.  Stops once more than cap distinct elements have been
+    found, reporting cap_exceeded instead of an order."""
+    ctx = gens[0].rows[0][0].ctx
+    n, d = gens[0].n, ctx.degree
+    reps = [regular_rep(g.rows, ctx) for g in gens]
+    rowsums = [r[2] for r in reps]
+    window = all(_is_involution(r) for r in reps)
+    pts = _Points(n, d, reps, window)
+    frontier = np.arange(n, dtype=np.int64)[None]
+    # seen: the sorted keys of every element that a product of the
+    # frontier may equal; with involutions only, the frontier's layer and
+    # the one before it (a BFS on an undirected Cayley graph); seen_ids
+    # holds their rows of ids, for a change of key width
+    cur = seen = _pack(frontier, n)
+    seen_ids = [frontier]
+    kept, tail = [frontier], []
+    stats = {"layers": 0, "peak_frontier": 1, "max_entry_bits": 1,
+             "int64_steps": 0}
+    total = 1
+    capped = False
+    while len(frontier) and not capped:
+        if total >= _BYTES_AFTER and len(pts.ids) > _BYTES_RATIO * total:
+            # the points outgrow the elements (a group of exponential
+            # growth): go on with one bytes key per element
+            seen = set(_keys(*pts.forms(np.concatenate(seen_ids))))
+            total, capped = _grow_bytes(
+                reps, *pts.forms(frontier), seen, stats, total, cap,
+                tail if store_elements else None)
+            break
+        stats["layers"] += 1
+        if pts.rational:
+            peak, dmax = int(pts.top[frontier].max()), 1
+        else:
+            dens = pts.den[frontier]
+            fden = np.lcm.reduce(dens, axis=1)
+            peak = int((pts.top[frontier] * (fden[:, None] // dens)).max())
+            dmax = int(fden.max())
+        stats["max_entry_bits"] = max(stats["max_entry_bits"],
+                                      peak.bit_length())
+        # the generators before the first one whose step the guard refuses
+        live = 0
+        while live < len(reps) and peak * rowsums[live] <= _INT64_MAX \
+                and dmax * reps[live][1] <= _INT64_MAX:
+            live += 1
+        out = pts.act[:live, frontier]
+        missing = (out < 0).any(axis=0)
+        if missing.any():
+            used = np.zeros(len(pts.ids), dtype=bool)
+            used[frontier[missing]] = True
+            pts.fill(live, np.flatnonzero(used))
+            out = pts.act[:live, frontier]
+        out = out.reshape(-1, n)
+        keys = _pack(out, len(pts.ids))
+        if keys.dtype != seen.dtype:  # the ids outgrew one int64
+            seen = np.sort(_pack(np.concatenate(seen_ids), len(pts.ids)))
+            cur = np.sort(_pack(frontier, len(pts.ids)))
+        uniq, first = _firsts(keys)
+        new = ~_known(seen, uniq)
+        fresh = np.sort(first[new])
+        if total + len(fresh) > cap:
+            # the cap is checked after each generator's products, in turn
+            per_gen = np.cumsum(np.bincount(fresh // len(frontier),
+                                            minlength=live))
+            live = int(np.flatnonzero(total + per_gen > cap)[0]) + 1
+            fresh = fresh[fresh < live * len(frontier)]
+            capped = True
+        elif live < len(reps):
+            raise OverflowError("closure entries grew past the int64 guard")
+        stats["int64_steps"] += sum(peak * r > _FLOAT_EXACT
+                                    for r in rowsums[:live])
+        total += len(fresh)
+        nxt = out[fresh]
+        stats["peak_frontier"] = max(stats["peak_frontier"], len(nxt))
+        if store_elements:
+            kept.append(nxt)
+        if window:
+            seen, seen_ids = _merge(cur, uniq[new]), [frontier, nxt]
+        else:
+            seen = _merge(seen, uniq[new])
+            seen_ids.append(nxt)
+        cur, frontier = uniq[new], nxt
     if capped or not store_elements:
         return ClosureResult(total, capped, stats=stats)
-    return ClosureResult(total, False, np.concatenate([a for a, _ in kept]),
-                         np.concatenate([b for _, b in kept]), stats)
+    parts = [pts.forms(np.concatenate(kept))] + tail
+    return ClosureResult(total, False, np.concatenate([a for a, _ in parts]),
+                         np.concatenate([b for _, b in parts]), stats)
 
 
 def element_order(mat, cap=10_000):
@@ -213,11 +437,53 @@ def conjugate(gens, i, word):
     return mat_word(gens, list(reversed(word)) + [i] + list(word))
 
 
+def _rank_mod_p(a, p):
+    """Rank over F_p of an integer matrix with entries in [0, p), p < 2^31,
+    by row reduction."""
+    a = a.copy()
+    rank = 0
+    for c in range(a.shape[1]):
+        rows = np.flatnonzero(a[rank:, c])
+        if not len(rows):
+            continue
+        a[[rank, rank + rows[0]]] = a[[rank + rows[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[rank] = 0
+        a = (a - col[:, None] * a[rank]) % p
+        rank += 1
+    return rank
+
+
+def _commutant_is_scalar(gens, ctx):
+    """True when a mod-p certificate shows that only scalar matrices
+    commute with every generator, None when it shows nothing.  With
+    p = 1 mod N prime to every denominator, zeta_N -> w is a ring map
+    Z[zeta_N, 1/den] -> F_p (ModPMap), and the rank of X -> (gX - Xg)_g
+    on n x n matrices can only drop under it; the scalars are in its
+    kernel, so rank n^2 - 1 mod p is rank n^2 - 1 over Q(zeta_N)."""
+    image = ModPMap(ctx.N, above=1 << 20)
+    p, n = image.p, gens[0].n
+    eye = np.eye(n, dtype=np.int64)
+    blocks = []
+    for g in gens:
+        if any(_parts(ctx, x)[1] % p == 0 for row in g.rows for x in row):
+            return None
+        m = np.array([[image(x) for x in row] for row in g.rows],
+                     dtype=np.int64)
+        # row-major vec(g X - X g) = (g (x) I - I (x) g^T) vec(X)
+        blocks.append((np.kron(m, eye) - np.kron(eye, m.T)) % p)
+    return _rank_mod_p(np.concatenate(blocks), p) == n * n - 1 or None
+
+
 def center_order(result, gens):
     """Size of the centralizer of the generators inside a stored closure.
-    x commutes with g when C(g x) = R(g) C(x) is the transpose of
-    C((x g)^T) = R(g^T) C(x^T); both products have the denominator
-    den(x) den(g), so their numerators are compared as they come out."""
+    When _commutant_is_scalar certifies that only scalars commute with
+    the group, Schur's lemma makes that the number of scalar elements.
+    Otherwise every element is tested: x commutes with g when
+    C(g x) = R(g) C(x) is the transpose of C((x g)^T) = R(g^T) C(x^T);
+    both products have the denominator den(x) den(g), so their numerators
+    are compared as they come out."""
     if result.cap_exceeded:
         raise ValueError("closure stopped at its cap; the center needs "
                          "the whole group")
@@ -226,6 +492,10 @@ def center_order(result, gens):
     ctx, n = gens[0].rows[0][0].ctx, gens[0].n
     shape = (-1, n, ctx.degree, n)  # [x, i, a, j]: coefficient a of x_ij
     x, dens = result.elements, result.dens
+    if _commutant_is_scalar(gens, ctx):
+        e = x.reshape(shape)
+        eye = np.eye(n, dtype=np.int64)[None, :, None, :]
+        return int(np.all(e == e[:, :1, :, :1] * eye, axis=(1, 2, 3)).sum())
     for g in gens:
         xt = x.reshape(shape).transpose(0, 3, 2, 1).reshape(x.shape)
         peak = _peak(x)

@@ -1,14 +1,19 @@
 import hashlib
 from math import gcd
 
+import numpy as np
 import pytest
 
+from reflektor import engine
+from reflektor.cyclo import field_ctx
 from reflektor.engine import (closure, element_order,
                               scalar_power_check, is_unipotent,
                               check_relation, conjugate, center_order,
-                              monomial_group_order)
+                              monomial_group_order, regular_rep)
+from reflektor.matrices import SquareMat
 from reflektor.reflrep import (preset, preset_names, rank3_rep,
                                circuit_rep, affine_circuit_rep)
+from reflektor.suites import _GROUPS
 
 
 def test_closure_of_symmetric_group_rep():
@@ -151,3 +156,183 @@ def test_closure_digest():
     _closure_record(h, "atilde:3", res)
     assert h.hexdigest() == (
         "acb5d9ce3a1c2bf14d7226a634ea84ccfdb33f5cd8ea3b47490d7846cc753bb5")
+
+
+# -- the base-image BFS: window, key widths, the bytes path -------------
+
+def _diag(ctx, z):
+    """diag(z, 1) over ctx."""
+    return SquareMat([[z, ctx.zero()], [ctx.zero(), ctx.one()]],
+                     ctx.one(), ctx.zero())
+
+
+def _cyclic_10():
+    """diag(zeta_5, 1) and diag(-1, 1): not all involutions, abelian."""
+    ctx = field_ctx(5)
+    return [_diag(ctx, ctx.zeta()), _diag(ctx, -ctx.one())]
+
+
+def _with_fixed_block(gens, k):
+    """Each generator g as g (+) I_k: a reducible representation."""
+    one, zero, n = gens[0].one, gens[0].zero, gens[0].n
+    ident = [[one if i == j else zero for j in range(n + k)]
+             for i in range(n, n + k)]
+    return [SquareMat([list(row) + [zero] * k for row in g.rows] + ident,
+                      one, zero) for g in gens]
+
+
+def _outcome(gens, cap):
+    try:
+        res = closure(gens, cap=cap)
+    except OverflowError:
+        return "overflow"
+    stored = None
+    if res.elements is not None:
+        stored = (res.elements.tobytes(), res.dens.tobytes())
+    return res.order, res.cap_exceeded, res.stats, stored
+
+
+# (gens, cap): den 2, a non-involution, ids that outgrow one int64 key in
+# mid-closure (11 coordinates: 5 bits an id, 32 ids, and 68 points), and
+# capped growth on each side of the switch to bytes keys
+PATH_CASES = {
+    "g24_444": (lambda: preset("g24_444").gens, 10 ** 6),
+    "gppn:3:3": (lambda: preset("gppn:3:3").gens, 10 ** 6),
+    "cyclic_10": (_cyclic_10, 10 ** 6),
+    "h3+I8": (lambda: _with_fixed_block(preset("h3_coxeter").gens, 8),
+              10 ** 6),
+    "rank3:9": (lambda: rank3_rep("g", 9, 9, 9, 9, 1).gens, 4000),
+    "rank3:40": (lambda: rank3_rep("g", 40, 40, 40, 40, 1).gens, 4000),
+    "rank3:40 uncapped": (lambda: rank3_rep("g", 40, 40, 40, 40, 1).gens,
+                          10 ** 6),
+    "atilde:4": (lambda: preset("atilde:4").gens, 4000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CASES))
+def test_closure_paths_agree(name, monkeypatch):
+    # base images throughout, bytes keys from the first layer, and the
+    # default selection give the same orders, stats and stored forms
+    build, cap = PATH_CASES[name]
+    gens = build()
+    want = _outcome(gens, cap)
+    for after, ratio in [(0, 0), (10 ** 9, 0)]:
+        monkeypatch.setattr(engine, "_BYTES_AFTER", after)
+        monkeypatch.setattr(engine, "_BYTES_RATIO", ratio)
+        assert _outcome(gens, cap) == want, (after, ratio)
+
+
+def test_wide_keys_are_used_in_mid_closure():
+    gens = _with_fixed_block(preset("h3_coxeter").gens, 8)
+    seen = []
+    real = engine._pack
+    try:
+        engine._pack = lambda ids, points: seen.append(points) \
+            or real(ids, points)
+        assert closure(gens).order == 120
+    finally:
+        engine._pack = real
+    assert min(seen) <= 32 < max(seen)
+
+
+def test_pack_keys_are_equal_exactly_for_equal_rows():
+    rng = np.random.default_rng(5)
+    for n, points in [(3, 1 << 21), (4, 1 << 15), (4, (1 << 15) + 1),
+                      (11, 40)]:
+        ids = rng.integers(0, min(points, 6), size=(300, n))
+        keys = engine._pack(ids, points)
+        assert keys.dtype == (np.int64 if points <= 1 << 63 // n
+                              else np.dtype((np.void, 8 * n)))
+        rows = [tuple(r) for r in ids.tolist()]
+        for i in range(0, 300, 7):
+            for j in range(0, 300, 11):
+                assert (keys[i] == keys[j]) == (rows[i] == rows[j])
+
+
+def test_growth_selects_the_bytes_path_by_points_per_element(monkeypatch):
+    calls = []
+    real = engine._grow_bytes
+    monkeypatch.setattr(engine, "_grow_bytes",
+                        lambda *a: calls.append(1) or real(*a))
+    rep = rank3_rep("g", 9, 9, 9, 9, 1)
+    assert closure(rep.gens, cap=4000).cap_exceeded
+    assert calls == [1]
+    calls.clear()
+    assert closure(preset("atilde:3").gens, cap=4000).cap_exceeded
+    # g27_d has the most points an element of the finite presets: 2.7
+    # at 64 elements, 1.7 at 256
+    for name, order in [("h4_1", 14400), ("g27_d", 2160)]:
+        assert closure(preset(name).gens).order == order
+    assert calls == []
+
+
+def test_keys_are_the_int64_rows():
+    batch = np.array([[[3], [-1]], [[1 << 40], [5]]], dtype=np.int64)
+    keys = engine._keys(batch, np.array([1, 2], dtype=np.int64))
+    assert keys == [np.array(r, dtype=np.int64).tobytes()
+                    for r in ([1, 3, -1], [2, 1 << 40, 5])]
+
+
+def test_abelian_closure_without_the_window():
+    # every element is central; the commutant holds every diagonal
+    # matrix, so the certificate shows nothing and the filter runs
+    gens = _cyclic_10()
+    ctx = gens[0].rows[0][0].ctx
+    assert not engine._is_involution(regular_rep(gens[0].rows, ctx))
+    res = closure(gens)
+    assert res.order == 10
+    assert engine._commutant_is_scalar(gens, ctx) is None
+    assert center_order(res, gens) == 10
+
+
+# -- mixed conductors ---------------------------------------------------
+
+@pytest.mark.parametrize("a, b", [(5, 8), (8, 5), (3, 5)])
+def test_mixed_conductors_raise(a, b):
+    # Q(zeta_5) and Q(zeta_8) have the same degree, Q(zeta_3) a smaller
+    # one; read in the first generator's field, the second was silently
+    # wrong (order 5 or 8 for a group of order 40) or an IndexError
+    gens = [_diag(field_ctx(a), field_ctx(a).zeta()),
+            _diag(field_ctx(b), field_ctx(b).zeta())]
+    msg = "mixed conductors %d and %d; lift first" % (a, b)
+    with pytest.raises(ValueError, match=msg):
+        closure(gens)
+    res = closure(gens[:1])
+    with pytest.raises(ValueError, match=msg):
+        center_order(res, gens)
+    big = field_ctx(a * b // gcd(a, b))
+    lifted = [_diag(big, g.rows[0][0].lift(big)) for g in gens]
+    assert closure(lifted).order == a * b // gcd(a, b)
+
+
+# -- the center: a mod-p certificate, else the filter ---------------------
+
+def _filtered_center(res, gens, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_commutant_is_scalar", lambda gens, ctx: None)
+        return center_order(res, gens)
+
+
+CENTER_ROWS = sorted(name for name, row in _GROUPS.items()
+                     if row.center is not None)
+
+
+@pytest.mark.parametrize("name", CENTER_ROWS + ["gppn:4:4", "gppn:3:5"])
+def test_center_certificate_matches_the_filter(name, monkeypatch):
+    rep = preset(name)
+    res = closure(rep.gens)
+    assert engine._commutant_is_scalar(rep.gens, rep.ctx)
+    center = center_order(res, rep.gens)
+    assert center == _filtered_center(res, rep.gens, monkeypatch)
+    if name in _GROUPS:
+        assert center == _GROUPS[name].center
+
+
+def test_reducible_rep_takes_the_filter():
+    # -I (+) 1 commutes with H3 (+) 1 but is no scalar: the certificate
+    # shows nothing, and the filter finds the center {I, -I (+) 1}
+    gens = _with_fixed_block(preset("h3_coxeter").gens, 1)
+    assert engine._commutant_is_scalar(gens, gens[0].rows[0][0].ctx) is None
+    res = closure(gens)
+    assert res.order == 120
+    assert center_order(res, gens) == 2

@@ -16,7 +16,7 @@ from reflektor.cyclo import (CycloElem, ModPMap, _bareiss,
                              root_of_v, power_basis_coords, u_value_seq)
 from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
                                   MAJORANT, Ring)
-from reflektor.engine import _keys, apply_rep, closure, regular_rep
+from reflektor.engine import apply_rep, closure, regular_rep
 from reflektor.matrices import SquareMat, mat_word, pair_C
 from reflektor.mpoly import ALPHA, MPoly
 from reflektor.reflrep import build_generators, preset, rank3_rep
@@ -632,13 +632,26 @@ def test_rank3_growth_uncapped_raises():
         closure(rep.gens, store_elements=False)
 
 
-@pytest.mark.parametrize("name", ["h3_coxeter", "g24_443"])
+def _dihedral_10():
+    """A rotation of order 5 and a reflection over Q(zeta_5), so not every
+    generator is an involution and the BFS checks every earlier layer."""
+    ctx = field_ctx(5)
+    z, zero, one = ctx.zeta(), ctx.zero(), ctx.one()
+    return [SquareMat([[z, zero], [zero, z ** 4]], one, zero),
+            SquareMat([[zero, one], [one, zero]], one, zero)]
+
+
+@pytest.mark.parametrize("name", ["h3_coxeter", "g24_443", "g24_444",
+                                  "dihedral_10"])
 def test_closure_elements_match_matrix_bfs(name):
     # the stored first-column forms, read back as matrices, are exactly
     # the group that SquareMat products generate
-    rep = preset(name)
-    ctx, n, d = rep.ctx, rep.rank, rep.ctx.degree
-    res = closure(rep.gens)
+    gens = _dihedral_10() if name == "dihedral_10" else preset(name).gens
+    ctx, n = gens[0].rows[0][0].ctx, gens[0].n
+    d = ctx.degree
+    involutions = all((g * g).is_identity() for g in gens)
+    assert involutions == (name != "dihedral_10")
+    res = closure(gens)
     got = {SquareMat([[CycloElem(ctx, _entry(x[:, j], i, d), int(den))
                        for j in range(n)] for i in range(n)],
                      ctx.one(), ctx.zero())
@@ -646,7 +659,7 @@ def test_closure_elements_match_matrix_bfs(name):
     ident = SquareMat.identity(n, ctx.one(), ctx.zero())
     want, layer = {ident}, [ident]
     while layer:
-        layer = [g * x for x in layer for g in rep.gens]
+        layer = [g * x for x in layer for g in gens]
         layer = [y for y in set(layer) if y not in want]
         want.update(layer)
     assert len(got) == res.order == len(want)
@@ -741,35 +754,6 @@ def test_float_step_either_side_of_2_53(case):
     assert out[2] == _peak(batch)
     assert dtypes == [np.dtype(np.float64 if side == 0 else np.int64)]
     assert out[0].tolist() == _reference_products(rows, batch)
-
-
-def _key_lengths(values, dens):
-    batch = np.array(values, dtype=np.int64).reshape(len(values), -1, 1)
-    return [len(k) for k in _keys(batch, np.array(dens, dtype=np.int64))]
-
-
-def test_keys_are_one_byte_exactly_when_the_row_fits_int8():
-    # a row [den | entries] of L values has an L-byte key when every value
-    # fits in int8, else an 8L-byte one
-    assert _key_lengths([[127, -128]], [1]) == [3]
-    assert _key_lengths([[128, -128]], [1]) == [24]
-    assert _key_lengths([[127, -129]], [1]) == [24]
-    assert _key_lengths([[0, 1]], [127]) == [3]
-    assert _key_lengths([[0, 1]], [128]) == [24]
-    assert _key_lengths([[127, -128], [128, 0], [0, 1]], [1, 1, 128]) \
-        == [3, 24, 24]
-
-
-def test_key_of_an_element_does_not_depend_on_its_batch():
-    small = np.array([[[3], [-1]], [[0], [127]]], dtype=np.int64)
-    big = np.array([[[1 << 40], [5]]], dtype=np.int64)
-    ones = np.ones(2, dtype=np.int64)
-    alone = _keys(small, ones)
-    mixed = _keys(np.concatenate([big, small]), np.ones(3, dtype=np.int64))
-    assert mixed[1:] == alone
-    assert alone[0] == np.array([1, 3, -1], dtype=np.int8).tobytes()
-    assert mixed[0] == np.array([1, 1 << 40, 5], dtype=np.int64).tobytes()
-    assert len(set(mixed)) == 3
 
 
 @pytest.mark.parametrize("weight, steps", [(16, 0), (40, 4)])
