@@ -192,10 +192,10 @@ class _Points:
 
     def __init__(self, n, d, reps, involutions):
         self.ids = {}
-        self.num = np.zeros((4 * n, n * d), dtype=np.int64)
-        self.den = np.zeros(4 * n, dtype=np.int64)
-        self.top = np.zeros(4 * n, dtype=np.int64)  # max |numerator|
-        self.act = np.full((len(reps), 4 * n), -1, dtype=np.int64)
+        self.num = np.zeros((0, n * d), dtype=np.int64)
+        self.den = np.zeros(0, dtype=np.int64)
+        self.top = np.zeros(0, dtype=np.int64)  # max |numerator|
+        self.act = np.zeros((len(reps), 0), dtype=np.int64)
         self.rational = True  # every den is 1
         self.stack = np.concatenate([r[0] for r in reps])
         self.dens = np.array([r[1] for r in reps], dtype=np.int64)
@@ -214,24 +214,18 @@ class _Points:
         table, before = self.ids, len(self.ids)
         ids = np.array([table.setdefault(k, len(table))
                         for k in _void_rows(rows)], dtype=np.int64)
-        end = len(table)
-        if end > before:
+        if len(table) > before:
             # new ids are handed out in order, so a row brings a new point
             # exactly when its id passes every id before it
             fresh = ids > np.maximum.accumulate(np.concatenate(
                 ([before - 1], ids[:-1])))
-            if end > len(self.den):
-                grow = max(end, 2 * len(self.den)) - len(self.den)
-                self.num = np.concatenate(
-                    [self.num, np.zeros((grow, num.shape[1]), np.int64)])
-                self.den = np.concatenate([self.den, np.zeros(grow, np.int64)])
-                self.top = np.concatenate([self.top, np.zeros(grow, np.int64)])
-                self.act = np.concatenate(
-                    [self.act, np.full((len(self.act), grow), -1, np.int64)],
-                    axis=1)
-            self.num[before:end] = num[fresh]
-            self.den[before:end] = den[fresh]
-            self.top[before:end] = np.abs(num[fresh]).max(axis=1)
+            self.num = np.concatenate([self.num, num[fresh]])
+            self.den = np.concatenate([self.den, den[fresh]])
+            self.top = np.concatenate([self.top,
+                                       np.abs(num[fresh]).max(axis=1)])
+            self.act = np.concatenate(
+                [self.act, np.full((len(self.act), fresh.sum()), -1)],
+                axis=1)
         return ids
 
     def fill(self, live, used):
