@@ -128,18 +128,13 @@ def apply_rep(rep, batch, dens, peak=None, fbatch=None):
     return out, dens * den, peak
 
 
-def _void_rows(rows):
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))) \
-        .ravel().tolist()
-
-
 def _keys(batch, dens):
-    """One bytes key per element: the int64 bytes of its row
+    """One bytes key per element or point: the int64 bytes of its row
     [den | entries], so every key of a closure has the same width."""
     rows = np.empty((len(batch), 1 + batch[0].size), dtype=np.int64)
     rows[:, 0] = dens
     rows[:, 1:] = batch.reshape(len(batch), -1)
-    return _void_rows(rows)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
 
 def _is_involution(rep):
@@ -208,12 +203,9 @@ class _Points:
     def add(self, num, den):
         """Ids of the points num / den (already normalised), adding the
         ones not met before."""
-        rows = np.empty((len(num), 1 + num.shape[1]), dtype=np.int64)
-        rows[:, 0] = den
-        rows[:, 1:] = num
         table, before = self.ids, len(self.ids)
         ids = np.array([table.setdefault(k, len(table))
-                        for k in _void_rows(rows)], dtype=np.int64)
+                        for k in _keys(num, den)], dtype=np.int64)
         if len(table) > before:
             # new ids are handed out in order, so a row brings a new point
             # exactly when its id passes every id before it

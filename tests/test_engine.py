@@ -3,6 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reflektor import engine
 from reflektor.cyclo import field_ctx
@@ -336,3 +337,28 @@ def test_reducible_rep_takes_the_filter():
     res = closure(gens)
     assert res.order == 120
     assert center_order(res, gens) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5]), st.integers(2, 3), st.data())
+def test_monomial_groups_agree_on_both_paths(conductor, n, data):
+    # random finite monomial groups (permutations times roots of unity,
+    # involutions or not): base images throughout and first-column forms
+    # from the first layer give the same closure
+    ctx = field_ctx(conductor)
+    zero, one = ctx.zero(), ctx.one()
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        perm = data.draw(st.permutations(range(n)))
+        powers = data.draw(st.lists(st.integers(0, 2 * conductor - 1),
+                                    min_size=n, max_size=n))
+        gens.append(SquareMat(
+            [[(-1) ** (k // conductor) * ctx.zeta(k % conductor)
+              if j == perm[i] else zero for j in range(n)]
+             for i, k in enumerate(powers)], one, zero))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_BYTES_AFTER", 10 ** 9)
+        points = _outcome(gens, 10 ** 6)
+        m.setattr(engine, "_BYTES_AFTER", 0)
+        m.setattr(engine, "_BYTES_RATIO", 0)
+        assert _outcome(gens, 10 ** 6) == points
