@@ -297,9 +297,9 @@ def closure(gens, cap=1_000_000, store_elements=True):
     ctx = gens[0].rows[0][0].ctx
     n, d = gens[0].n, ctx.degree
     reps = [regular_rep(g.rows, ctx) for g in gens]
-    rowsums = [r[2] for r in reps]
     window = all(_is_involution(r) for r in reps)
     pts = _Points(n, d, reps, window)
+    rowsums = pts.rowsums
     frontier = np.arange(n, dtype=np.int64)[None]
     # seen: the sorted keys of every element that a product of the
     # frontier may equal; with involutions only, the frontier's layer and
