@@ -16,7 +16,7 @@ from reflektor.cyclo import (CycloElem, ModPMap, _bareiss,
                              root_of_v, power_basis_coords, u_value_seq)
 from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
                                   MAJORANT, Ring)
-from reflektor.engine import apply_rep, closure, regular_rep
+from reflektor.engine import _keys, apply_rep, closure, regular_rep
 from reflektor.matrices import SquareMat, mat_word, pair_C
 from reflektor.mpoly import ALPHA, MPoly
 from reflektor.reflrep import build_generators, preset, rank3_rep
@@ -754,6 +754,19 @@ def test_float_step_either_side_of_2_53(case):
     assert out[2] == _peak(batch)
     assert dtypes == [np.dtype(np.float64 if side == 0 else np.int64)]
     assert out[0].tolist() == _reference_products(rows, batch)
+
+
+def test_key_of_an_element_does_not_depend_on_its_batch():
+    # a row needing all 64 bits in one batch leaves the keys of the
+    # small rows beside it as they are alone
+    small = np.array([[[3], [-1]], [[0], [127]]], dtype=np.int64)
+    big = np.array([[[1 << 40], [5]]], dtype=np.int64)
+    alone = _keys(small, np.ones(2, dtype=np.int64))
+    mixed = _keys(np.concatenate([big, small]), np.ones(3, dtype=np.int64))
+    assert mixed[1:] == alone
+    assert alone[0] == np.array([1, 3, -1], dtype=np.int64).tobytes()
+    assert mixed[0] == np.array([1, 1 << 40, 5], dtype=np.int64).tobytes()
+    assert len(set(mixed)) == 3
 
 
 @pytest.mark.parametrize("weight, steps", [(16, 0), (40, 4)])
