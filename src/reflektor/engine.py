@@ -40,15 +40,26 @@ A closure whose point table outgrows its elements (a group of exponential
 growth, where nearly every product brings new points) goes on with the
 first-column forms themselves, as one matmul per generator and layer and
 one bytes key per element, [den | entries] as int64, in a set.
+
+Words, element orders, scalar powers and relations run on the same
+representation: an element x is (R(den x), den), gcd-normalised after
+every product, a word is the product of its letters' R(g), a power is
+taken by squaring, and an order iterates C(x^k) = R(x) C(x^(k-1)).  Their
+products take the same guard, (row sum of the left factor) * (max |right
+factor|), in three tiers: float64 up to 2^53, int64 up to 2^63 - 1, and
+Python ints (object arrays) past that, so an element of infinite order is
+followed exactly to its cap and nothing wraps.
 """
 
-from math import lcm
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import ModPMap, _parts
-from .matrices import mat_word
-from .upoly import UPoly
+from .cyclo import CycloElem, ModPMap, _parts
+from .matrices import check_word, mat_word
+from .upoly import UPoly, ring_pow
 
 _INT64_MAX = (1 << 63) - 1
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here exactly
@@ -82,29 +93,67 @@ class ClosureResult:
         return "<closure order %d%s>" % (self.order, tail)
 
 
-def regular_rep(rows, ctx):
+@lru_cache(maxsize=None)
+def _mul_tensor(ctx):
+    """(T, top): T[a] = R(zeta^a), the d x d integer matrix of
+    multiplication by zeta^a on the power basis, flattened to (d, d * d),
+    and top the largest sum_a |T[a]| of an entry."""
+    d = ctx.degree
+    tensor = np.array([ctx.mul_columns([int(a == b) for b in range(d)])
+                       for a in range(d)], dtype=np.int64).transpose(0, 2, 1)
+    return tensor.reshape(d, d * d), int(np.abs(tensor).sum(axis=0).max())
+
+
+def regular_rep(rows, ctx, wide=False):
     """(R, den, rowsum) for a matrix given by rows of CycloElem entries:
     den is the common denominator, R the int64 regular representation of
-    den * rows, and rowsum the largest absolute row sum of R.  An entry of
-    another conductor raises ValueError."""
-    d = ctx.degree
-    parts = [[_parts(ctx, x) for x in row] for row in rows]
-    den = lcm(*(xden for row in parts for _, xden in row))
-    big = [[0] * (len(rows) * d) for _ in range(len(rows) * d)]
-    for i, row in enumerate(parts):
-        for k, (vec, xden) in enumerate(row):
-            cols = ctx.mul_columns([c * (den // xden) for c in vec])
-            for b, col in enumerate(cols):
-                for a, c in enumerate(col):
-                    big[i * d + a][k * d + b] = c
-    rowsum = max(sum(map(abs, r)) for r in big)
-    if rowsum > _INT64_MAX:
+    den * rows, and rowsum the largest absolute row sum of R.  Block (i, k)
+    of R is sum_a v_a T[a], for v the coefficients of den * rows[i][k],
+    all blocks in one product.  A rowsum past 2^63 - 1 raises
+    OverflowError, unless wide, when R holds Python ints instead.  An
+    entry of another conductor raises ValueError."""
+    n, d = len(rows), ctx.degree
+    parts = [_parts(ctx, x) for row in rows for x in row]
+    den = lcm(*(xden for _, xden in parts))
+    coeffs = [[c * (den // xden) for c in vec] + [0] * (d - len(vec))
+              for vec, xden in parts]
+    tensor, top = _mul_tensor(ctx)
+    # every entry of a block is a sum of d products, at most this
+    wide_sums = max(map(abs, chain(*coeffs))) * top > _INT64_MAX
+    dtype = object if wide_sums else np.int64
+    blocks = np.array(coeffs, dtype=dtype) @ tensor.astype(dtype)
+    mat = blocks.reshape(n, n, d, d).transpose(0, 2, 1, 3) \
+        .reshape(n * d, n * d)
+    rowsum = _rowsum(mat)
+    if rowsum <= _INT64_MAX:
+        return mat.astype(np.int64), den, rowsum
+    if not wide:
         raise OverflowError("closure entries grew past the int64 guard")
-    return np.array(big, dtype=np.int64), den, rowsum
+    return mat, den, rowsum
 
 
 def _peak(batch):
     return max(int(batch.max(initial=0)), -int(batch.min(initial=0)))
+
+
+def _rowsum(mat):
+    """The largest absolute row sum of an integer matrix, exactly."""
+    wide = _peak(mat) * mat.shape[-1] > _INT64_MAX
+    return int(np.abs(mat).sum(axis=-1, dtype=object if wide else None)
+               .max())
+
+
+def _matmul(a, b, bound, fb=None):
+    """a @ b for integer arrays when bound bounds every product and
+    partial sum: in float64 up to 2^53, where such integers are exact
+    whatever the order of summation, in int64 up to 2^63 - 1, and past
+    that in Python ints.  fb may be b as float64."""
+    if bound <= _FLOAT_EXACT:
+        if fb is None:
+            fb = b.astype(np.float64)
+        return np.matmul(a.astype(np.float64), fb).astype(np.int64)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
 
 
 def apply_rep(rep, batch, dens, peak=None, fbatch=None):
@@ -120,12 +169,7 @@ def apply_rep(rep, batch, dens, peak=None, fbatch=None):
     if peak * rowsum > _INT64_MAX or int(dens.max(initial=0)) * den \
             > _INT64_MAX:
         raise OverflowError("closure entries grew past the int64 guard")
-    if peak * rowsum > _FLOAT_EXACT:
-        return np.matmul(mat, batch), dens * den, peak
-    if fbatch is None:
-        fbatch = batch.astype(np.float64)
-    out = np.matmul(mat.astype(np.float64), fbatch).astype(np.int64)
-    return out, dens * den, peak
+    return _matmul(mat, batch, peak * rowsum, fbatch), dens * den, peak
 
 
 def _keys(batch, dens):
@@ -137,13 +181,15 @@ def _keys(batch, dens):
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
 
-def _is_involution(rep):
-    """R(g)^2 = den^2 I, exactly: g is its own inverse."""
-    mat, den, rowsum = rep
-    if max(rowsum, den) ** 2 > _INT64_MAX:
-        mat = mat.astype(object)
-    return np.array_equal(mat @ mat,
-                          np.eye(len(mat), dtype=mat.dtype) * (den * den))
+def _is_involution(*reps):
+    """R(g)^2 = den^2 I for every rep, exactly: each g is its own inverse.
+    One stacked product for all of them, bounded by max(rowsum, den)^2."""
+    mats = np.stack([mat for mat, _, _ in reps])
+    bound = max(max(rowsum, den) for _, den, rowsum in reps) ** 2
+    squares = _matmul(mats, mats, bound)
+    dens = np.array([den * den for _, den, _ in reps], dtype=squares.dtype)
+    return np.array_equal(squares, np.eye(mats.shape[1], dtype=squares.dtype)
+                          * dens[:, None, None])
 
 
 def _pack(ids, points):
@@ -297,7 +343,7 @@ def closure(gens, cap=1_000_000, store_elements=True):
     ctx = gens[0].rows[0][0].ctx
     n, d = gens[0].n, ctx.degree
     reps = [regular_rep(g.rows, ctx) for g in gens]
-    window = all(_is_involution(r) for r in reps)
+    window = _is_involution(*reps)
     pts = _Points(n, d, reps, window)
     rowsums = pts.rowsums
     frontier = np.arange(n, dtype=np.int64)[None]
@@ -380,22 +426,64 @@ def closure(gens, cap=1_000_000, store_elements=True):
                          np.concatenate([b for _, b in parts]), stats)
 
 
+class _Elem:
+    """An element x as (R, den): R = R(den x), den > 0 and the gcd of den
+    and every entry of R is 1.  The form is canonical, since the first
+    column of each block of R is the coefficient vector of that entry of
+    den x, so x = 1 exactly when den = 1 and R = I, and two elements are
+    equal exactly when their forms are.  Products are exact (_matmul under
+    apply_rep's bound), so ring_pow powers them.  The same holds for
+    first-column forms, R read at columns 0, d, 2d, ..."""
+    __slots__ = ("mat", "den")
+
+    def __init__(self, mat, den):
+        if den > 1:
+            g = gcd(int(np.gcd.reduce(mat, axis=None)), den)
+            if g > 1:
+                mat, den = mat // g, den // g
+        self.mat, self.den = mat, den
+
+    def __mul__(self, other):
+        bound = _rowsum(self.mat) * _peak(other.mat)
+        return _Elem(_matmul(self.mat, other.mat, bound),
+                     self.den * other.den)
+
+    def __eq__(self, other):
+        return self.den == other.den and np.array_equal(self.mat, other.mat)
+
+
+def _forms(mats):
+    """The _Elem of each SquareMat (CycloElem entries of one field), that
+    of 1, and the field."""
+    ctx = mats[0].rows[0][0].ctx
+    one = _Elem(np.eye(mats[0].n * ctx.degree, dtype=np.int64), 1)
+    return [_Elem(*regular_rep(m.rows, ctx, wide=True)[:2])
+            for m in mats], one, ctx
+
+
 def element_order(mat, cap=10_000):
-    """Multiplicative order, or None when cap is passed first."""
-    p = mat
+    """Multiplicative order, or None when cap is passed first: the
+    first-column forms C(x^k) = R(x) C(x^(k-1)) against that of 1."""
+    (x,), one, ctx = _forms([mat])
+    d, rowsum = ctx.degree, _rowsum(x.mat)
+    power, one = _Elem(x.mat[:, ::d], x.den), _Elem(one.mat[:, ::d], 1)
     for k in range(1, cap + 1):
-        if p.is_identity():
+        if power == one:
             return k
-        p = p * mat
+        power = _Elem(_matmul(x.mat, power.mat, rowsum * _peak(power.mat)),
+                      power.den * x.den)
     return None
 
 
 def scalar_power_check(mat, k):
     """mat^k when it is a scalar matrix (the scalar as a CycloElem),
     else None."""
-    p = mat ** k
-    if p.is_scalar():
-        return p.rows[0][0]
+    (x,), one, ctx = _forms([mat])
+    n, d = mat.n, ctx.degree
+    p = ring_pow(x, k, one)
+    e = p.mat[:, ::d].reshape(n, d, n)  # [i, a, j]: coefficient a of p_ij
+    if np.all(e == e[:1, :, :1] * np.eye(n, dtype=np.int64)[:, None, :]):
+        return CycloElem(ctx, [int(c) for c in e[0, :, 0]], p.den)
     return None
 
 
@@ -409,11 +497,17 @@ def check_relation(gens, word, exponent=1, rhs_word=None, rhs_exponent=1):
     """Whether (product of gens over word)^exponent equals the identity, or
     equals the analogous right-hand side when rhs_word is given.  Words are
     1-based generator index lists."""
-    lhs = mat_word(gens, word) ** exponent
-    if rhs_word is None:
-        return lhs.is_identity()
-    rhs = mat_word(gens, rhs_word) ** rhs_exponent
-    return lhs == rhs
+    reps, one, _ = _forms(gens)
+
+    def power(word, exponent):
+        check_word(word, len(gens))
+        x = one
+        for i in word:
+            x = x * reps[i - 1]
+        return ring_pow(x, exponent, one)
+
+    lhs = power(word, exponent)
+    return lhs == (one if rhs_word is None else power(rhs_word, rhs_exponent))
 
 
 def conjugate(gens, i, word):

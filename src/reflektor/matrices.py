@@ -116,14 +116,20 @@ def sum_ring(row, vec, zero):
     return acc
 
 
+def check_word(word, count):
+    """ValueError naming the first letter of word that is not one of the
+    1-based generator indices 1..count."""
+    for i in word:
+        if not 1 <= i <= count:
+            raise ValueError("no generator s%d (have s1..s%d)" % (i, count))
+
+
 def mat_word(mats, word):
     """Product of the generators over the 1-based letters of word, in
     written order: letter i stands for mats[i - 1]."""
+    check_word(word, len(mats))
     result = SquareMat.identity(mats[0].n, mats[0].one, mats[0].zero)
     for i in word:
-        if not 1 <= i <= len(mats):
-            raise ValueError("no generator s%d (have s1..s%d)"
-                             % (i, len(mats)))
         result = result * mats[i - 1]
     return result
 

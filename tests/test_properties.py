@@ -16,10 +16,13 @@ from reflektor.cyclo import (CycloElem, ModPMap, _bareiss,
                              root_of_v, power_basis_coords, u_value_seq)
 from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
                                   MAJORANT, Ring)
-from reflektor.engine import _keys, apply_rep, closure, regular_rep
+from reflektor import engine
+from reflektor.engine import (_keys, apply_rep, check_relation, closure,
+                              element_order, regular_rep, scalar_power_check)
 from reflektor.matrices import SquareMat, mat_word, pair_C
 from reflektor.mpoly import ALPHA, MPoly
-from reflektor.reflrep import build_generators, preset, rank3_rep
+from reflektor.reflrep import build_generators, preset, preset_names, rank3_rep
+from reflektor.suites import _GROUPS
 from reflektor.sympoly import GENS
 from reflektor.upoly import UPoly, X, euler_phi, u_poly
 
@@ -780,6 +783,244 @@ def test_int64_steps_count_the_fallback(weight, steps):
                                   "gppn:4:4"])
 def test_finite_presets_take_only_float_steps(name):
     assert closure(preset(name).gens).stats["int64_steps"] == 0
+
+
+# -- regular_rep: one product against T[a] = R(zeta^a) ---------------------
+
+def _regular_rep_by_entries(rows, ctx):
+    """R(den * rows), den and rowsum by the entry loop: block (i, k),
+    column b is the coefficient vector of den * rows[i][k] * zeta^b."""
+    d = ctx.degree
+    den = lcm(*(x.den for row in rows for x in row))
+    big = [[0] * (len(rows) * d) for _ in range(len(rows) * d)]
+    for i, row in enumerate(rows):
+        for k, x in enumerate(row):
+            cols = ctx.mul_columns([c * (den // x.den) for c in x.vec])
+            for b, col in enumerate(cols):
+                for a, c in enumerate(col):
+                    big[i * d + a][k * d + b] = c
+    return big, den, max(sum(map(abs, r)) for r in big)
+
+
+FAMILY_PRESETS = ["gppn:2:3", "gppn:3:4", "gppn:7:3", "gnn3:2:1",
+                  "gnn3:7:2", "gnn3:12:5", "gnn3:16:1", "atilde:4"]
+
+
+@pytest.mark.parametrize("name", preset_names() + FAMILY_PRESETS)
+def test_regular_rep_matches_the_entry_loop(name):
+    rep = preset(name)
+    for g in rep.gens:
+        for rows in (g.rows, list(zip(*g.rows))):  # center_order reads both
+            mat, den, rowsum = regular_rep(rows, rep.ctx)
+            assert mat.dtype == np.int64
+            assert (mat.tolist(), den, rowsum) \
+                == _regular_rep_by_entries(rows, rep.ctx)
+
+
+@pytest.mark.parametrize("cond", [1, 5, 12])
+def test_wide_regular_rep_keeps_python_ints(cond):
+    # entries whose blocks pass int64: OverflowError as before, or with
+    # wide the exact Python ints of the entry loop
+    ctx = field_ctx(cond)
+    big = ctx.from_fraction((1 << 62) + 1) * ctx.zeta()
+    rows = [[big, ctx.one()], [ctx.from_fraction(Fraction(1, 3)), big]]
+    with pytest.raises(OverflowError):
+        regular_rep(rows, ctx)
+    mat, den, rowsum = regular_rep(rows, ctx, wide=True)
+    assert mat.dtype == object
+    assert (mat.tolist(), den, rowsum) == _regular_rep_by_entries(rows, ctx)
+
+
+def test_regular_rep_row_sum_past_int64():
+    # each entry fits int64, their row sum 2^63 does not
+    ctx = field_ctx(1)
+    top = ctx.from_fraction(1 << 62)
+    rows = [[top, top], [ctx.zero(), ctx.one()]]
+    with pytest.raises(OverflowError):
+        regular_rep(rows, ctx)
+    mat, den, rowsum = regular_rep(rows, ctx, wide=True)
+    assert rowsum == 1 << 63
+    assert (mat.tolist(), den, rowsum) == _regular_rep_by_entries(rows, ctx)
+
+
+# -- words on the integer kernel against SquareMat products ---------------
+
+def _order_by_matrices(mat, cap=10_000):
+    p = mat
+    for k in range(1, cap + 1):
+        if p.is_identity():
+            return k
+        p = p * mat
+    return None
+
+
+def _relation_by_matrices(gens, word, exponent=1, rhs_word=None,
+                          rhs_exponent=1):
+    lhs = mat_word(gens, word) ** exponent
+    if rhs_word is None:
+        return lhs.is_identity()
+    return lhs == mat_word(gens, rhs_word) ** rhs_exponent
+
+
+def _scalar_power_by_matrices(mat, k):
+    p = mat ** k
+    return p.rows[0][0] if p.is_scalar() else None
+
+
+def _first_columns(mat):
+    """(first-column form, den) of a SquareMat, gcd-normalised, from its
+    entries."""
+    ctx, n = mat.rows[0][0].ctx, mat.n
+    d = ctx.degree
+    den = lcm(*(x.den for row in mat.rows for x in row))
+    cols = [[0] * n for _ in range(n * d)]
+    for i, row in enumerate(mat.rows):
+        for j, x in enumerate(row):
+            for a, c in enumerate(x.vec):
+                cols[i * d + a][j] = c * (den // x.den)
+    return cols, den
+
+
+def _kernel_first_columns(x, d):
+    return x.mat[:, ::d].tolist(), x.den
+
+
+WORD_PRESETS = sorted(_GROUPS) + ["gppn:3:4", "gnn3:7:2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WORD_PRESETS), st.integers(0, 12),
+       st.integers(0, 12), st.randoms(use_true_random=False))
+@example("g24_443", 6, 3, random.Random(1))
+@example("g27_f", 12, 5, random.Random(2))
+@example("h3_coxeter", 3, 0, random.Random(3))
+def test_word_kernel_matches_matrix_products(name, length, rhs_length, rng):
+    rep = preset(name)
+    gens, rank = rep.gens, rep.rank
+    word = [rng.randint(1, rank) for _ in range(length)]
+    if name == "h3_coxeter" and length == 3:
+        word = [1, 2, 3]  # t, whose fifth power is the scalar -1
+    rhs = [rng.randint(1, rank) for _ in range(rhs_length)]
+    mat = mat_word(gens, word)
+    order = element_order(mat)
+    assert order == _order_by_matrices(mat)
+    for e in {0, 1, order - 1, order, 2 * order}:
+        assert check_relation(gens, word, e) \
+            == _relation_by_matrices(gens, word, e)
+    for args in [(word, order + 1, word, 1), (word, 2, rhs, 1),
+                 (word, order, [], 0), (rhs, 2, word + word, 1)]:
+        assert check_relation(gens, *args) \
+            == _relation_by_matrices(gens, *args)
+    assert check_relation(gens, word, order + 1, word, 1)
+    for k in [0, 1] + [k for k in range(2, order + 1) if order % k == 0]:
+        assert scalar_power_check(mat, k) \
+            == _scalar_power_by_matrices(mat, k)
+    # the canonical form of each power, den included, is read off the
+    # entries: the gcd normalisation is neither skipped nor overdone
+    (x,), _, ctx = engine._forms([mat])
+    p = x
+    for k in range(1, min(order, 6) + 1):
+        assert _kernel_first_columns(p, ctx.degree) \
+            == _first_columns(mat ** k)
+        p = p * x
+
+
+def test_word_kernel_on_an_infinite_order():
+    rep = preset("atilde:3")
+    mat = rep.word([1, 2, 3])
+    assert element_order(mat, cap=50) is None
+    assert _order_by_matrices(mat, cap=50) is None
+    assert not check_relation(rep.gens, [1, 2, 3], 50)
+
+
+@pytest.mark.parametrize("weight", [40, Fraction(81, 2)])
+def test_word_kernel_past_int64_takes_python_ints(weight):
+    # entries of (s1 s2 s3)^k grow about 40^3-fold a step: past 2^53 and
+    # 2^63 within a few steps, and every tier must stay exact, with the
+    # gcd divided out of Python ints too when the weight has den 2
+    rep = rank3_rep("grow", weight, weight, weight, weight, 1)
+    mat = rep.word([1, 2, 3])
+    with _matmul_dtypes() as dtypes:
+        assert element_order(mat, cap=150) is None
+    assert np.dtype(object) in dtypes
+    if weight == 40:  # den 2 jumps from float64 to Python ints at once
+        assert set(dtypes) == {np.dtype(np.float64), np.dtype(np.int64),
+                               np.dtype(object)}
+    assert _order_by_matrices(mat, cap=150) is None
+    x, p = engine._forms([mat])[0][0], mat
+    q = x
+    for _ in range(12):
+        assert _kernel_first_columns(q, 1) == _first_columns(p)
+        p, q = p * mat, q * x
+    # a matrix whose own R passes int64 is read in Python ints too
+    wide = engine._forms([p])[0][0]
+    assert wide.mat.dtype == object
+    assert _kernel_first_columns(wide, 1) == _first_columns(p)
+    assert element_order(p, cap=3) is None
+    with _matmul_dtypes() as dtypes:
+        assert check_relation(rep.gens, [1, 2, 3], 150, [1, 2, 3] * 2, 75)
+        assert not check_relation(rep.gens, [1, 2, 3], 150, [1, 2, 3], 149)
+    assert np.dtype(object) in dtypes
+    assert not _relation_by_matrices(rep.gens, [1, 2, 3], 150, [1, 2, 3],
+                                     149)
+
+
+def test_word_kernel_tells_a_scalar_from_one():
+    # (1/2) I has numerator I but den 2: not the identity, of no order
+    ctx = field_ctx(5)
+    half = ctx.from_fraction(Fraction(1, 2))
+    mat = SquareMat([[half, ctx.zero()], [ctx.zero(), half]], ctx.one(),
+                    ctx.zero())
+    assert element_order(mat, cap=50) is None
+    assert not check_relation([mat], [1, 1])
+    assert not check_relation([mat], [1], 2, [], 1)
+    assert scalar_power_check(mat, 3) == Fraction(1, 8)
+
+
+def test_word_kernel_refuses_a_negative_exponent():
+    rep = preset("h3_coxeter")
+    with pytest.raises(ValueError, match="negative power"):
+        check_relation(rep.gens, [1, 2], -1)
+    with pytest.raises(ValueError, match="negative power"):
+        check_relation(rep.gens, [1, 2], 3, [2, 1], -3)
+    with pytest.raises(ValueError, match="negative power"):
+        scalar_power_check(rep.word([1, 2]), -1)
+    with pytest.raises(ValueError, match=re.escape("no generator s4 "
+                                                   "(have s1..s3)")):
+        check_relation(rep.gens, [1, 4, 5])
+
+
+# -- the involution check: one stacked product ------------------------------
+
+@pytest.mark.parametrize("bits", [10, 14, 40])
+def test_stacked_involution_check_in_every_tier(bits):
+    # [[0, 2^k], [2^-k, 0]] is an involution with den 2^k and R(den g) =
+    # [[0, 2^2k], [1, 0]]: max(rowsum, den)^2 = 2^4k lies under 2^53, under
+    # 2^63 or past it; adding 1 to the corner breaks it
+    ctx = field_ctx(1)
+    zero, one = ctx.zero(), ctx.one()
+    reps = [regular_rep([[zero, ctx.from_fraction(1 << bits)],
+                         [ctx.from_fraction(Fraction(1, 1 << bits)), c]],
+                        ctx, wide=True) for c in (zero, one)]
+    flip = regular_rep([[zero, one], [one, zero]], ctx)
+    with _matmul_dtypes() as dtypes:
+        assert engine._is_involution(reps[0])
+    assert dtypes == [np.dtype({10: np.float64, 14: np.int64,
+                                40: object}[bits])]
+    assert engine._is_involution(flip, reps[0])
+    assert not engine._is_involution(reps[1])
+    assert not engine._is_involution(reps[0], reps[1])
+
+
+@pytest.mark.parametrize("name", WORD_PRESETS)
+def test_stacked_involution_check_matches_each(name):
+    gens = preset(name).gens
+    reps = [regular_rep(g.rows, g.rows[0][0].ctx) for g in gens]
+    assert engine._is_involution(*reps)
+    rot = _dihedral_10()
+    rot_reps = [regular_rep(g.rows, g.rows[0][0].ctx) for g in rot]
+    assert [engine._is_involution(r) for r in rot_reps] == [False, True]
+    assert not engine._is_involution(*rot_reps)
 
 
 # -- diagrams: build_generators and the C pairing ------------------------
