@@ -499,12 +499,12 @@ def check_relation(gens, word, exponent=1, rhs_word=None, rhs_exponent=1):
     1-based generator index lists."""
     reps, one, _ = _forms(gens)
 
-    def power(word, exponent):
-        check_word(word, len(gens))
+    def power(letters, k):
+        check_word(letters, len(gens))
         x = one
-        for i in word:
+        for i in letters:
             x = x * reps[i - 1]
-        return ring_pow(x, exponent, one)
+        return ring_pow(x, k, one)
 
     lhs = power(word, exponent)
     return lhs == (one if rhs_word is None else power(rhs_word, rhs_exponent))
