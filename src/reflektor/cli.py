@@ -213,6 +213,7 @@ def cmd_group(args):
             else:
                 payload["order"] = result.order
             payload["closure"] = result.stats
+            payload["points"] = result.points
             print(json.dumps(payload))
         elif result.cap_exceeded:
             print("cap exceeded (> %d elements)" % args.cap)

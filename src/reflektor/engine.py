@@ -20,11 +20,27 @@ row of the ids of its columns.  Each generator acts on ids through a
 table, filled for the points not yet mapped by one matmul per layer for
 all generators; a BFS step is a gather.  The ids of a row packed into one
 int64 (63 // n bits each, or the row's bytes once the table outgrows that)
-are then equal exactly when the elements are, so dedup is a sort of these
-keys and a search among the sorted keys of earlier layers.  When every
-generator is an involution (R(g)^2 = den^2 I, checked exactly) the Cayley
-graph is undirected and a product of layer L lies in layer L - 1, L or
-L + 1, so only the last two layers are searched; otherwise all of them.
+are then equal exactly when the elements are, so dedup groups these keys
+by a sort.
+
+When every generator is an involution (R(g)^2 = den^2 I, checked exactly)
+of determinant -1, det x = (-1)^L on BFS layer L (the sign character;
+Humphreys, Reflection Groups and Coxeter Groups, 1.6), so a product g x of
+layer L lies in layer L - 1 or L + 1, never in L.  It lies in L - 1
+exactly when g y = x for some y of layer L - 1, as g is its own inverse.
+So each element keeps a mark, the bitmask of the generators that produced
+it (an or over every occurrence of its key), the marked products are
+skipped, and every other product is new: the next layer is their distinct
+keys, and no earlier layer is searched.  Any other generator set (a det +1
+involution, the identity, a non-involution, more than 62 generators)
+searches the sorted keys of all earlier layers.  Either way a layer's
+elements come in the order of their first occurrence among the products.
+
+A stored finite closure is its rows of ids and the point table; the
+first-column forms are built from them on first read.  The center counts
+its scalar elements c I on the rows when a mod-p certificate shows that
+only scalars commute with the group (Schur's lemma), else it tests every
+element's forms.
 
 The guard is the one a matmul of first-column forms would need.  With
 peak = max |C(x)| over the frontier and rowsum the largest absolute row
@@ -51,7 +67,7 @@ Python ints (object arrays) past that, so an element of infinite order is
 followed exactly to its cap and nothing wraps.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -72,14 +88,10 @@ _BYTES_RATIO = 2
 
 
 class ClosureResult:
-    def __init__(self, order, cap_exceeded, elements=None, dens=None,
-                 stats=None):
+    def __init__(self, order, cap_exceeded, stats=None, points=0, rows=None,
+                 table=None):
         self.order = order
         self.cap_exceeded = cap_exceeded
-        # (order, n*d, n) int64 first-column forms and their denominators,
-        # or None
-        self.elements = elements
-        self.dens = dens
         # layers: frontiers multiplied out (for a finite group the last
         # yields nothing new); peak_frontier: the largest of them;
         # max_entry_bits: bit length of the largest coefficient of a
@@ -87,6 +99,23 @@ class ClosureResult:
         # bits; int64_steps: (layer, generator) steps whose product bound
         # passes 2^53, the float64 limit
         self.stats = stats
+        # the size of the point table (at the switch to bytes keys, for a
+        # closure that makes it)
+        self.points = points
+        # a stored finite closure: the (order, n) rows of base-image ids and
+        # the point table (num, den) they index, else None
+        self.rows, self.table = rows, table
+
+    @cached_property
+    def _forms(self):
+        if self.rows is None:
+            return None, None
+        return _element_forms(self.rows, *self.table)
+
+    # (order, n*d, n) int64 first-column forms and their denominators, or
+    # None; built from the rows on first read
+    elements = property(lambda self: self._forms[0])
+    dens = property(lambda self: self._forms[1])
 
     def __repr__(self):
         tail = " (cap exceeded)" if self.cap_exceeded else ""
@@ -192,6 +221,16 @@ def _is_involution(*reps):
                           * dens[:, None, None])
 
 
+def _det_minus_one(reps, d):
+    """For involutions: True when there are at most 62 and each has
+    determinant -1.  An involution has eigenvalues +-1, so its trace t is
+    an integer, the trace of R(g) is d * den * t, and the eigenvalue -1
+    has multiplicity (n - t) / 2."""
+    return len(reps) <= 62 and all(
+        (len(mat) * den - sum(map(int, mat.diagonal()))) // (2 * d * den) % 2
+        for mat, den, _ in reps)
+
+
 def _pack(ids, points):
     """One key per row of point ids: the ids packed into one int64 while
     the table has at most 2^(63 // n) points, else the bytes of the row."""
@@ -203,14 +242,16 @@ def _pack(ids, points):
     return np.ascontiguousarray(ids).view(np.dtype((np.void, 8 * n))).ravel()
 
 
-def _firsts(keys):
-    """The distinct keys, sorted, and the index of each one's first
-    occurrence."""
-    order = keys.argsort(kind="stable")
+def _groups(keys):
+    """(distinct keys sorted, order, starts): keys[order] is sorted, and
+    the run of each distinct key in it begins at starts, so
+    np.minimum.reduceat(order, starts) is each key's first occurrence."""
+    order = keys.argsort()
     keys = keys[order]
     head = np.ones(len(keys), dtype=bool)
     head[1:] = keys[1:] != keys[:-1]
-    return keys[head], order[head]
+    starts = np.flatnonzero(head)
+    return keys[starts], order, starts
 
 
 def _known(sorted_keys, keys):
@@ -222,21 +263,36 @@ def _known(sorted_keys, keys):
     return sorted_keys[pos] == keys
 
 
-def _merge(*keys):
-    return np.sort(np.concatenate(keys), kind="stable")
+def _element_forms(rows, num, den):
+    """(first-column forms, dens) of the elements with these rows of ids
+    into the points num[:, id] / den[id]."""
+    dens = den[rows]
+    eden = np.lcm.reduce(dens, axis=1)
+    cols = num[:, rows] * (eden[:, None] // dens)
+    return np.ascontiguousarray(cols.transpose(1, 0, 2)), eden
+
+
+def _grown(a, size, fill):
+    """a with its last axis grown to size, the new entries fill."""
+    out = np.full(a.shape[:-1] + (size,), fill, dtype=a.dtype)
+    out[..., :a.shape[-1]] = a
+    return out
 
 
 class _Points:
     """The exact points met so far, each a gcd-normalised (den, numerator)
     with a positive den, and the action of the generators on them: act[g, p]
-    is the id of g * p, or -1 until it is needed."""
+    is the id of g * p, or -1 until it is needed.  A point is an index of
+    the last axis of each array; the arrays grow by doubling, and their
+    first len(ids) entries are the points."""
 
     def __init__(self, n, d, reps, involutions):
         self.ids = {}
-        self.num = np.zeros((0, n * d), dtype=np.int64)
-        self.den = np.zeros(0, dtype=np.int64)
-        self.top = np.zeros(0, dtype=np.int64)  # max |numerator|
-        self.act = np.zeros((len(reps), 0), dtype=np.int64)
+        self.num = np.zeros((n * d, 64), dtype=np.int64)
+        self.den = np.zeros(64, dtype=np.int64)
+        self.top = np.zeros(64, dtype=np.int64)  # max |numerator|
+        self.act = np.full((len(reps), 64), -1, dtype=np.int64)
+        self.full = False  # every image under every generator is known
         self.rational = True  # every den is 1
         self.stack = np.concatenate([r[0] for r in reps])
         self.dens = np.array([r[1] for r in reps], dtype=np.int64)
@@ -252,18 +308,20 @@ class _Points:
         table, before = self.ids, len(self.ids)
         ids = np.array([table.setdefault(k, len(table))
                         for k in _keys(num, den)], dtype=np.int64)
-        if len(table) > before:
+        size = len(table)
+        if size > before:
+            if size > len(self.den):
+                self.num, self.den, self.top = (
+                    _grown(a, 2 * size, 0)
+                    for a in (self.num, self.den, self.top))
+                self.act = _grown(self.act, 2 * size, -1)
             # new ids are handed out in order, so a row brings a new point
             # exactly when its id passes every id before it
             fresh = ids > np.maximum.accumulate(np.concatenate(
                 ([before - 1], ids[:-1])))
-            self.num = np.concatenate([self.num, num[fresh]])
-            self.den = np.concatenate([self.den, den[fresh]])
-            self.top = np.concatenate([self.top,
-                                       np.abs(num[fresh]).max(axis=1)])
-            self.act = np.concatenate(
-                [self.act, np.full((len(self.act), fresh.sum()), -1)],
-                axis=1)
+            self.num[:, before:size] = num[fresh].T
+            self.den[before:size] = den[fresh]
+            self.top[before:size] = np.abs(num[fresh]).max(axis=1)
         return ids
 
     def fill(self, live, used):
@@ -271,12 +329,12 @@ class _Points:
         each missing some image) under the first live generators, all in
         one product."""
         gi, at = np.nonzero(self.act[:live, used] < 0)
-        nd = self.num.shape[1]
+        nd = len(self.num)
         # the generators' R stacked, as one R of den 1: the dens of the
         # products are the point dens times each generator's den
         out, pden, _ = apply_rep(
             (self.stack[:live * nd], 1, max(self.rowsums[:live])),
-            self.num[used].T[None], self.den[used],
+            self.num[:, used][None], self.den[used],
             int(self.top[used].max()))
         num = out[0].reshape(live, nd, len(used))[gi, :, at]
         den = self.dens[gi] * pden[at]
@@ -289,14 +347,20 @@ class _Points:
         self.act[gi, used[at]] = ids
         if self.involutions:  # g * (g * p) = p
             self.act[gi, ids] = used[at]
+        self.full = not (self.act[:, :len(self.ids)] < 0).any()
 
     def forms(self, ids):
-        """(first-column forms, dens) of the elements with these rows of
-        base-image ids."""
-        dens = self.den[ids]
-        eden = np.lcm.reduce(dens, axis=1)
-        cols = self.num[ids] * (eden[:, None] // dens)[:, :, None]
-        return np.ascontiguousarray(cols.transpose(0, 2, 1)), eden
+        """(first-column forms, dens) of the elements with these rows."""
+        return _element_forms(ids, self.num, self.den)
+
+    def rows(self, forms, dens):
+        """The rows of ids of elements given as first-column forms, adding
+        their points."""
+        k, nd, n = forms.shape
+        cols = forms.transpose(0, 2, 1).reshape(-1, nd)
+        den = np.repeat(dens, n)
+        g = np.gcd(np.gcd.reduce(cols, axis=1), den)
+        return self.add(cols // g[:, None], den // g).reshape(k, n)
 
 
 def _grow_bytes(reps, frontier, fdens, seen, stats, total, cap, kept):
@@ -343,15 +407,17 @@ def closure(gens, cap=1_000_000, store_elements=True):
     ctx = gens[0].rows[0][0].ctx
     n, d = gens[0].n, ctx.degree
     reps = [regular_rep(g.rows, ctx) for g in gens]
-    window = _is_involution(*reps)
-    pts = _Points(n, d, reps, window)
+    involutions = _is_involution(*reps)
+    graded = involutions and _det_minus_one(reps, d)
+    pts = _Points(n, d, reps, involutions)
     rowsums = pts.rowsums
     frontier = np.arange(n, dtype=np.int64)[None]
-    # seen: the sorted keys of every element that a product of the
-    # frontier may equal; with involutions only, the frontier's layer and
-    # the one before it (a BFS on an undirected Cayley graph); seen_ids
-    # holds their rows of ids, for a change of key width
-    cur = seen = _pack(frontier, n)
+    # graded: marks[i] has bit g set when g * frontier[i] lies one layer
+    # down, and seen_ids holds the last two layers, for the switch to bytes
+    # keys; else seen holds the sorted keys of every element so far, and
+    # seen_ids their rows of ids, for a change of key width
+    marks = np.zeros(1, dtype=np.int64)
+    seen = _pack(frontier, n)
     seen_ids = [frontier]
     kept, tail = [frontier], []
     stats = {"layers": 0, "peak_frontier": 1, "max_entry_bits": 1,
@@ -382,27 +448,40 @@ def closure(gens, cap=1_000_000, store_elements=True):
         while live < len(reps) and peak * rowsums[live] <= _INT64_MAX \
                 and dmax * reps[live][1] <= _INT64_MAX:
             live += 1
-        out = pts.act[:live, frontier]
-        missing = (out < 0).any(axis=0)
-        if missing.any():
-            used = np.zeros(len(pts.ids), dtype=bool)
-            used[frontier[missing]] = True
-            pts.fill(live, np.flatnonzero(used))
-            out = pts.act[:live, frontier]
+        # (take, unlike act[:live, frontier], gives a C-ordered array)
+        out = pts.act[:live].take(frontier, axis=1)
+        if not pts.full:
+            missing = (out < 0).any(axis=0)
+            if missing.any():
+                used = np.zeros(len(pts.ids), dtype=bool)
+                used[frontier[missing]] = True
+                pts.fill(live, np.flatnonzero(used))
+                out = pts.act[:live].take(frontier, axis=1)
         out = out.reshape(-1, n)
-        keys = _pack(out, len(pts.ids))
-        if keys.dtype != seen.dtype:  # the ids outgrew one int64
-            seen = np.sort(_pack(np.concatenate(seen_ids), len(pts.ids)))
-            cur = np.sort(_pack(frontier, len(pts.ids)))
-        uniq, first = _firsts(keys)
-        new = ~_known(seen, uniq)
-        fresh = np.sort(first[new])
+        width = len(frontier)
+        if graded:
+            # g * x lies one layer down exactly when bit g of x's mark is
+            # set, and one layer up, so new, otherwise
+            up = np.flatnonzero((marks >> np.arange(live)[:, None]) & 1 == 0)
+            _, order, starts = _groups(_pack(out[up], len(pts.ids)))
+            fresh = up[np.minimum.reduceat(order, starts)]
+            hits = np.bitwise_or.reduceat(1 << (up[order] // width), starts)
+            sort = fresh.argsort()
+            fresh, hits = fresh[sort], hits[sort]
+        else:
+            keys = _pack(out, len(pts.ids))
+            if keys.dtype != seen.dtype:  # the ids outgrew one int64
+                seen = np.sort(_pack(np.concatenate(seen_ids), len(pts.ids)))
+            uniq, order, starts = _groups(keys)
+            new = ~_known(seen, uniq)
+            fresh = np.sort(np.minimum.reduceat(order, starts)[new])
+            seen = np.sort(np.concatenate([seen, uniq[new]]))
         if total + len(fresh) > cap:
             # the cap is checked after each generator's products, in turn
-            per_gen = np.cumsum(np.bincount(fresh // len(frontier),
-                                            minlength=live))
+            per_gen = np.cumsum(np.bincount(fresh // width, minlength=live))
             live = int(np.flatnonzero(total + per_gen > cap)[0]) + 1
-            fresh = fresh[fresh < live * len(frontier)]
+            # (this ends the closure, so the marks are not cut with it)
+            fresh = fresh[fresh < live * width]
             capped = True
         elif live < len(reps):
             raise OverflowError("closure entries grew past the int64 guard")
@@ -413,17 +492,19 @@ def closure(gens, cap=1_000_000, store_elements=True):
         stats["peak_frontier"] = max(stats["peak_frontier"], len(nxt))
         if store_elements:
             kept.append(nxt)
-        if window:
-            seen, seen_ids = _merge(cur, uniq[new]), [frontier, nxt]
+        if graded:
+            seen_ids, marks = [frontier, nxt], hits
         else:
-            seen = _merge(seen, uniq[new])
             seen_ids.append(nxt)
-        cur, frontier = uniq[new], nxt
+        frontier = nxt
+    points = len(pts.ids)
     if capped or not store_elements:
-        return ClosureResult(total, capped, stats=stats)
-    parts = [pts.forms(np.concatenate(kept))] + tail
-    return ClosureResult(total, False, np.concatenate([a for a, _ in parts]),
-                         np.concatenate([b for _, b in parts]), stats)
+        return ClosureResult(total, capped, stats, points)
+    rows = np.concatenate(kept + [pts.rows(*part) for part in tail
+                                  if len(part[0])])
+    size = len(pts.ids)
+    return ClosureResult(total, False, stats, points, rows,
+                         (pts.num[:, :size], pts.den[:size]))
 
 
 class _Elem:
@@ -556,26 +637,39 @@ def _commutant_is_scalar(gens, ctx):
     return _rank_mod_p(np.concatenate(blocks), p) == n * n - 1 or None
 
 
+def _scalar_rows(rows, num, den):
+    """How many of these rows of point ids are scalar elements c * I: the
+    column j of c * I is the point c * e_j, so each point of the row lies
+    on the axis of its column, and all of them have the same den and the
+    same coefficients there."""
+    n = rows.shape[1]
+    blocks = num.reshape(n, -1, num.shape[1])  # [i, a, point]
+    on = (blocks != 0).any(axis=1)
+    axis = np.where(on.sum(axis=0) == 1, on.argmax(axis=0), -1)
+    diag = rows[np.all(axis[rows] == np.arange(n), axis=1)]
+    vals = blocks[np.arange(n), :, diag]  # [x, j, a]: the entry c of column j
+    return int((np.all(vals == vals[:, :1], axis=(1, 2))
+                & np.all(den[diag] == den[diag[:, :1]], axis=1)).sum())
+
+
 def center_order(result, gens):
     """Size of the centralizer of the generators inside a stored closure.
     When _commutant_is_scalar certifies that only scalars commute with
-    the group, Schur's lemma makes that the number of scalar elements.
-    Otherwise every element is tested: x commutes with g when
-    C(g x) = R(g) C(x) is the transpose of C((x g)^T) = R(g^T) C(x^T);
-    both products have the denominator den(x) den(g), so their numerators
-    are compared as they come out."""
+    the group, Schur's lemma makes that the number of scalar elements,
+    counted on the rows of base-image ids.  Otherwise every element is
+    tested: x commutes with g when C(g x) = R(g) C(x) is the transpose of
+    C((x g)^T) = R(g^T) C(x^T); both products have the denominator
+    den(x) den(g), so their numerators are compared as they come out."""
     if result.cap_exceeded:
         raise ValueError("closure stopped at its cap; the center needs "
                          "the whole group")
-    if result.elements is None:
+    if result.rows is None:
         raise ValueError("closure was run without element storage")
     ctx, n = gens[0].rows[0][0].ctx, gens[0].n
+    if _commutant_is_scalar(gens, ctx):
+        return _scalar_rows(result.rows, *result.table)
     shape = (-1, n, ctx.degree, n)  # [x, i, a, j]: coefficient a of x_ij
     x, dens = result.elements, result.dens
-    if _commutant_is_scalar(gens, ctx):
-        e = x.reshape(shape)
-        eye = np.eye(n, dtype=np.int64)[None, :, None, :]
-        return int(np.all(e == e[:, :1, :, :1] * eye, axis=(1, 2, 3)).sum())
     for g in gens:
         xt = x.reshape(shape).transpose(0, 3, 2, 1).reshape(x.shape)
         peak = _peak(x)

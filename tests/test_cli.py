@@ -167,6 +167,16 @@ def test_group_order_json(capsys):
                                   "max_entry_bits": 1, "int64_steps": 0}
 
 
+def test_group_order_json_points(capsys):
+    # the size of the point table, beside the closure stats
+    for name, points in [("gppn:3:3", 54), ("h4_1", 240)]:
+        code, out = run(capsys, "group", "order", "--preset", name, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["points"] == points
+        assert "points" not in payload["closure"]
+
+
 def test_group_order_cap(capsys):
     code, out = run(capsys, "group", "order", "--preset", "atilde:3",
                     "--cap", "200", "--json")

@@ -159,7 +159,7 @@ def test_closure_digest():
         "acb5d9ce3a1c2bf14d7226a634ea84ccfdb33f5cd8ea3b47490d7846cc753bb5")
 
 
-# -- the base-image BFS: window, key widths, the bytes path -------------
+# -- the base-image BFS: descent marks, key widths, the bytes path ------
 
 def _diag(ctx, z):
     """diag(z, 1) over ctx."""
@@ -221,6 +221,103 @@ def test_closure_paths_agree(name, monkeypatch):
         monkeypatch.setattr(engine, "_BYTES_AFTER", after)
         monkeypatch.setattr(engine, "_BYTES_RATIO", ratio)
         assert _outcome(gens, cap) == want, (after, ratio)
+
+
+def _growth_cases():
+    cases = {"grow:%d" % w: (lambda w=w: rank3_rep("grow:%d" % w, w, w, w, w,
+                                                   1).gens, 4000)
+             for w in (2, 9, 16, 20, 40)}
+    for name in ["atilde:%d" % n for n in range(3, 7)] + ["cor9_g2t"]:
+        cases[name] = (lambda name=name: preset(name).gens, 4000)
+    return cases
+
+
+# every _GROUPS row, the families, capped growth, and PATH_CASES
+DESCENT_CASES = {
+    **{name: (lambda name=name: preset(name).gens, 10 ** 6)
+       for name in sorted(_GROUPS)
+       + ["gppn:%d:%d" % (p, n) for p in range(2, 6) for n in (3, 4)]
+       + ["gppn:2:6"]
+       + ["gnn3:%d:%d" % (n, k) for n in range(2, 9) for k in range(1, n)
+          if gcd(n, k) == 1]},
+    **_growth_cases(),
+    **PATH_CASES,
+}
+
+
+def _all_layers(m):
+    """Take the det -1 certificate away, so every closure runs the search
+    against all earlier layers."""
+    m.setattr(engine, "_det_minus_one", lambda reps, d: False)
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_CASES))
+def test_descent_marks_match_the_all_layers_search(name, monkeypatch):
+    # products whose generator marked the element are skipped and the rest
+    # searched nowhere; the search against every earlier layer must find
+    # the same elements in the same order, with the cap cut alike
+    build, cap = DESCENT_CASES[name]
+    gens = build()
+    settings = [(engine._BYTES_AFTER, engine._BYTES_RATIO)]
+    if name in PATH_CASES:
+        settings += [(0, 0), (10 ** 9, 0)]
+    for after, ratio in settings:
+        monkeypatch.setattr(engine, "_BYTES_AFTER", after)
+        monkeypatch.setattr(engine, "_BYTES_RATIO", ratio)
+        want = _outcome(gens, cap)
+        with monkeypatch.context() as m:
+            _all_layers(m)
+            assert _outcome(gens, cap) == want, (after, ratio)
+
+
+def _path_taken(gens, monkeypatch, cap=1000):
+    """(order, whether the closure took the descent marks)."""
+    said = []
+    real = engine._det_minus_one
+    monkeypatch.setattr(engine, "_det_minus_one",
+                        lambda reps, d: said.append(real(reps, d)) or said[-1])
+    res = closure(gens, cap=cap)
+    assert not res.cap_exceeded
+    return res.order, said == [True]
+
+
+def _over_q(*diagonals):
+    ctx = field_ctx(1)
+    return [SquareMat([[ctx.from_fraction(x) if i == j else ctx.zero()
+                        for j in range(len(diag))]
+                       for i, x in enumerate(diag)], ctx.one(), ctx.zero())
+            for diag in diagonals]
+
+
+def _h3_with(extra):
+    gens = preset("h3_coxeter").gens
+    return gens + [extra(gens)]
+
+
+def _minus_identity(gens):
+    g = gens[0]
+    return SquareMat([[-x for x in row] for row in
+                      SquareMat.identity(g.n, g.one, g.zero).rows],
+                     g.one, g.zero)
+
+
+# (generators, order, descent path): a det +1 involution, the identity
+# beside a reflection, the identity alone; -I_3 (det -1 in odd rank) and
+# a repeated generator keep the marks
+GENERATOR_SETS = {
+    "diag(-1,1), diag(-1,-1)": (lambda: _over_q((-1, 1), (-1, -1)), 4,
+                                False),
+    "diag(-1,1), I": (lambda: _over_q((-1, 1), (1, 1)), 2, False),
+    "I": (lambda: _over_q((1, 1)), 1, False),
+    "h3 + -I": (lambda: _h3_with(_minus_identity), 120, True),
+    "h3 + s1": (lambda: _h3_with(lambda g: g[0]), 120, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_generator_sets_that_skip_the_marks(name, monkeypatch):
+    build, order, descent = GENERATOR_SETS[name]
+    assert _path_taken(build(), monkeypatch) == (order, descent)
 
 
 def test_wide_keys_are_used_in_mid_closure():
@@ -286,6 +383,36 @@ def test_abelian_closure_without_the_window():
     assert center_order(res, gens) == 10
 
 
+# -- the point table ---------------------------------------------------
+
+@pytest.mark.parametrize("name, points", [("h4_1", 240), ("g27_d", 810),
+                                          ("gppn:2:6", 60),
+                                          ("gppn:3:3", 54)])
+def test_point_count(name, points):
+    gens = preset(name).gens
+    res = closure(gens)
+    assert res.points == points == len(res.table[1])
+    # an unstored closure keeps the count, not the table
+    bare = closure(gens, store_elements=False)
+    assert (bare.points, bare.rows, bare.table) == (points, None, None)
+
+
+def test_point_count_at_the_switch_to_bytes_keys(monkeypatch):
+    # rank-3 growth at weight 9 moves to bytes keys with 1146 points
+    calls = []
+    real = engine._grow_bytes
+    monkeypatch.setattr(engine, "_grow_bytes",
+                        lambda *a: calls.append(1) or real(*a))
+    res = closure(rank3_rep("g", 9, 9, 9, 9, 1).gens, cap=4000)
+    assert res.cap_exceeded and res.points == 1146 and calls == [1]
+    # sent there from the first layer, h3 switches with the 3 points of
+    # the identity; its stored rows then index all 60 points
+    monkeypatch.setattr(engine, "_BYTES_AFTER", 0)
+    monkeypatch.setattr(engine, "_BYTES_RATIO", 0)
+    res = closure(preset("h3_coxeter").gens)
+    assert (res.order, res.points, len(res.table[1])) == (120, 3, 60)
+
+
 # -- mixed conductors ---------------------------------------------------
 
 @pytest.mark.parametrize("a, b", [(5, 8), (8, 5), (3, 5)])
@@ -318,15 +445,33 @@ CENTER_ROWS = sorted(name for name, row in _GROUPS.items()
                      if row.center is not None)
 
 
+def _scalar_forms(res):
+    """The scalar elements c * I counted on the first-column forms."""
+    n = res.elements.shape[2]
+    e = res.elements.reshape(len(res.elements), n, -1, n)  # [x, i, a, j]
+    eye = np.eye(n, dtype=np.int64)[None, :, None, :]
+    return int(np.all(e == e[:, :1, :, :1] * eye, axis=(1, 2, 3)).sum())
+
+
 @pytest.mark.parametrize("name", CENTER_ROWS + ["gppn:4:4", "gppn:3:5"])
 def test_center_certificate_matches_the_filter(name, monkeypatch):
+    # the scalars counted on the rows of point ids, the same count on the
+    # first-column forms, and the filter over every element agree
     rep = preset(name)
     res = closure(rep.gens)
     assert engine._commutant_is_scalar(rep.gens, rep.ctx)
     center = center_order(res, rep.gens)
-    assert center == _filtered_center(res, rep.gens, monkeypatch)
+    assert "_forms" not in vars(res)  # the rows alone gave it
+    assert center == _scalar_forms(res) \
+        == _filtered_center(res, rep.gens, monkeypatch)
     if name in _GROUPS:
         assert center == _GROUPS[name].center
+    # the forms read after the center are those of an eager build
+    eager = closure(rep.gens)
+    assert res.elements.tobytes() == eager.elements.tobytes()
+    assert res.dens.tobytes() == eager.dens.tobytes()
+    with pytest.raises(ValueError, match="without element storage"):
+        center_order(closure(rep.gens, store_elements=False), rep.gens)
 
 
 def test_reducible_rep_takes_the_filter():
