@@ -23,12 +23,21 @@ The scalar kernel:
 - fraction-free elimination (Bareiss 1968) inverts elements and finds
   power-basis coordinates;
 - the norm N(x) is the resultant Res(Phi_N, P) / den^d of the integer
-  polynomial P of den * x, by the subresultant PRS.
+  polynomial P of den * x, by the subresultant PRS;
+- the root identities are decided on images mod p (ModPMap): one prime
+  p = 1 mod N above 2B per field, where B = 16 hi^2 + 16 hi bounds every
+  side in every embedding because |u_n| <= |n| on [0, 4], one int64 table
+  of u_0 .. u_hi at the phi(N) images of the root, and one array
+  comparison per check family; all images zero means the difference z of
+  the sides is divisible by p, so |N(z)| >= p^phi(N) > (2B)^phi(N) unless
+  z = 0 (root_identity_suite has the proof).
 """
 
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+
+import numpy as np
 
 from .matrices import SquareMat
 from .report import SuiteResult
@@ -539,64 +548,165 @@ def _coprime_ks(r):
     return [k for k in range(1, (r + 1) // 2) if gcd(k, r) == 1]
 
 
+def _root_image(n, hi):
+    """The map mod p for the root checks in Q(zeta_n) whose u table runs to
+    index hi: every side is bounded by B = 16 hi^2 + 16 hi in every
+    embedding (root_identity_suite), so p must exceed 2B."""
+    bound = 16 * hi * hi + 16 * hi
+    image = ModPMap(n, above=2 * bound + 1)
+    if image.p <= 2 * bound:
+        raise ArithmeticError("p = %d does not exceed 2B = %d"
+                              % (image.p, 2 * bound))
+    return image
+
+
+def _conjugates(image):
+    """zeta_N + zeta_N^-1 under the phi(N) maps zeta_N -> w^m, m a unit
+    mod N, as residues mod p: int64 below 2^31, where a product of two
+    residues fits, and Python ints from there on."""
+    n, p, w = image.M, image.p, image.w
+    return np.array([(pow(w, m, p) + pow(w, n - m, p)) % p
+                     for m in range(1, n) if gcd(m, n) == 1],
+                    np.int64 if p < 1 << 31 else object)
+
+
+def _u_images(x, hi, p):
+    """Row n holds u_n at every entry of x, mod p, for n = 0 .. hi, by the
+    recurrence of u_value_seq."""
+    t = np.zeros((hi + 1, len(x)), x.dtype)
+    t[1] = 1
+    for k in range(1, hi):
+        t[k + 1] = ((x * t[k] if k % 2 == 0 else t[k]) - t[k - 1]) % p
+    return t
+
+
+def _root_checks(g, hi, p):
+    """u, which reads u_n(g) mod p off one table, for an index or an array
+    of them (u_-n = -u_n); and eq, which compares two sides mod p at every
+    conjugate, one status per index.  A side is at most a product of two
+    residues, which fits int64 below p = 2^31."""
+    t = _u_images(g, hi, p)
+
+    def u(n):
+        n = np.asarray(n)
+        return t[abs(n)] * np.sign(n)[..., None] % p
+
+    def eq(lhs, rhs):
+        ok = (lhs % p == rhs % p).all(axis=-1)
+        return np.where(ok, "pass", "fail").tolist()
+
+    return u, eq
+
+
+def _even_verdicts(r, image, hi):
+    """(case id suffix, status) for the checks at the roots of v_r, r =
+    2 half even, in case order.  Every root of v_r is a conjugate of every
+    other, so one verdict serves them all."""
+    half, p = r // 2, image.p
+    x = _conjugates(image)
+    g = (x + 2) % p
+    u, eq = _root_checks(g, hi, p)
+    kk = np.arange(half + 1)
+    out = [(":mirror:%d" % i, v)
+           for i, v in enumerate(eq(u(r - kk), u(kk)))]
+    kk = np.arange(half)
+    for l in range(4):
+        e = 1 if l % 2 == 0 else -1
+        out += [(":period:%d:%d" % (l, i), v)
+                for i, v in enumerate(eq(u(l * r + kk), e * u(kk)))]
+    out.append((":top+", eq(u(r - 1), 1)))
+    out.append((":top-", eq(u(r + 1), -1)))
+    w = (4 - g) % p
+    # the weight of the even rungs: g w when half is even
+    w0 = w if half % 2 else g * w % p
+    kk = np.arange(half + half % 2)
+    wt = np.where((kk % 2 == 1)[:, None], w, w0)
+    ladder = eq(wt * u(half) % p * u(half - kk), 2 * (u(kk + 1) - u(kk - 1)))
+    for i, v in enumerate(ladder):
+        out.append((":ladder:%d" % i if half % 2 else
+                    ":ladder_%s:%d" % ("eo"[i % 2], i // 2), v))
+    out.append((":norm4", eq(w0 * u(half) % p * u(half), 4)))
+    out.append((":norm2", eq(w * u(half) % p * u(half - 1), 2)))
+    return out
+
+
+def _odd_verdicts(r, image, hi):
+    """{e: [(case id suffix, status)]} for the checks at the roots k of
+    v_r, r odd, with (-1)^(k-1) = e, in case order.  The square roots s of
+    those roots are e times the conjugates of zeta_2r + zeta_2r^-1: for
+    even k, zeta_2r^k = -zeta_2r^(k+r) and k + r is a unit mod 2r."""
+    h, p = (r - 1) // 2, image.p
+    x = _conjugates(image)
+    g = x * x % p
+    u, eq = _root_checks(g, hi, p)
+    kk = np.arange(h)
+    ur = u(r - 1)
+    odd = eq(u(r - (2 * kk + 1)), u(2 * kk + 1) * ur)
+    even = eq(u(r - (2 * kk + 2)), g * u(2 * kk + 2) % p * ur)
+    steps = []
+    for i in range(h):
+        steps += [(":odd_step:%d" % i, odd[i]), (":even_step:%d" % i, even[i])]
+    # for r = 3 mod 4, half_o is stated times s, which is not 0
+    lmax, wt = ((r - 1) // 4, 1) if r % 4 == 1 else ((r - 3) // 8, g)
+    l = np.arange(lmax + 1)
+    uh = u(h)
+    verdicts = {}
+    for e in (1, -1):
+        s = e * x % p
+        es = e * s % p
+        half_e = eq(u(h - 2 * l), (u(2 * l + 1) - es * u(2 * l) % p) * uh)
+        half_o = eq(wt * u(h - (2 * l - 1)),
+                    (g * u(2 * l) % p - es * u(2 * l - 1) % p) * uh)
+        out = steps + [(":sqrt_sign", eq(s * ur, e))]
+        for i in range(lmax + 1):
+            out += [(":half_e:%d" % i, half_e[i]),
+                    (":half_o:%d" % i, half_o[i])]
+        verdicts[e] = out
+    return verdicts
+
+
 def root_identity_suite(r_max):
     """Exact checks, at every primitive root of every v_r with r <= r_max, of
     the evaluation identities: the reflection/periodicity rules at roots of
     v_{2p}, the weighted ladder there, and the odd-r ladder including its
-    square-root-signed refinement."""
+    square-root-signed refinement.
+
+    Each check runs on the images of its sides under the phi(N) ring maps
+    Z[zeta_N] -> F_p, zeta_N -> w^m (ModPMap), with N = r for the roots of
+    v_r at even r and N = 2r for the square roots at odd r: one table of
+    u_0 .. u_hi mod p per field, one array comparison per check family.
+    The verdict is exact:
+    - the bound: for x = 4 cos^2 t, u_2m+1(x) = sin((2m+1) t) / sin t and
+      u_2m(x) = sin(2m t) / sin(2t), so |u_n(x)| <= |n| on [0, 4], where
+      every conjugate of a root lies (and every conjugate of its square
+      root in [-2, 2]); each side is a product of at most two u values and
+      a weight of absolute value at most 16 (g (4 - g) <= 4, |s| <= 2), or
+      a sum of such, so every side is an algebraic integer with |sigma(side)|
+      <= B = 16 hi^2 + 16 hi in every embedding sigma, and p > 2B;
+    - zero images mean zero: z = lhs - rhs with all phi(N) images 0 lies
+      in every prime above p, so p | z in Z[zeta_N] (p = 1 mod N does not
+      ramify) and |N(z)| >= p^phi(N) > (2B)^phi(N) >= |N(z)| unless z = 0;
+    - a nonzero image proves the check fails.
+    Every root of a field is a conjugate of the first, so its images are
+    those of the first, permuted: one verdict per field, and at odd r one
+    per sign class (-1)^(k-1) of the square root."""
     res = SuiteResult("root_identities")
 
-    for p in range(2, r_max // 2 + 1):
-        r = 2 * p
-        for k in _coprime_ks(r):
-            g = root_of_v(r, k)
-            seq = u_value_seq(g, 8 * p + 4)
-            uu = lambda n: u_at(seq, n)
-            lab = ("even", r, k)
-            for kk in range(0, p + 1):
-                res.check(uu(2 * p - kk) == uu(kk), lab + ("mirror", kk))
-            for l in range(0, 4):
-                e = 1 if l % 2 == 0 else -1
-                for kk in range(0, p):
-                    res.check(uu(2 * l * p + kk) == e * uu(kk),
-                              lab + ("period", l, kk))
-            res.check(uu(2 * p - 1) == 1, lab + ("top+",))
-            res.check(uu(2 * p + 1) == -1, lab + ("top-",))
-            w = 4 - g
-            # the weight of the even rungs: g w when p is even
-            w0 = w if p % 2 else g * w
-            for kk in range(p + p % 2):
-                tag = (("ladder", kk) if p % 2 else
-                       (("ladder_e", "ladder_o")[kk % 2], kk // 2))
-                res.check((w if kk % 2 else w0) * uu(p) * uu(p - kk)
-                          == 2 * (uu(kk + 1) - uu(kk - 1)), lab + tag)
-            res.check(w0 * uu(p) * uu(p) == 4, lab + ("norm4",))
-            res.check(w * uu(p) * uu(p - 1) == 2, lab + ("norm2",))
+    def emit(head, verdicts):
+        for tag, status in verdicts:
+            res.add(head + tag, status)
 
-    for r in range(3, r_max + 1, 2):
-        h = (r - 1) // 2
+    for r in range(4, r_max + 1, 2):
+        # the largest index: period 3 at kk = r/2 - 1
+        hi = 7 * (r // 2) - 1
+        verdicts = _even_verdicts(r, _root_image(r, hi), hi)
         for k in _coprime_ks(r):
-            s = sqrt_root(r, k)
-            g = s * s
-            seq = u_value_seq(g, 2 * r + 4)
-            uu = lambda n: u_at(seq, n)
-            lab = ("odd", r, k)
-            for kk in range(0, h):
-                res.check(uu(r - (2 * kk + 1)) == uu(2 * kk + 1) * uu(r - 1),
-                          lab + ("odd_step", kk))
-                res.check(uu(r - (2 * kk + 2)) == g * uu(2 * kk + 2) * uu(r - 1),
-                          lab + ("even_step", kk))
-            e = 1 if (k - 1) % 2 == 0 else -1
-            res.check(s * uu(r - 1) == e, lab + ("sqrt_sign",))
-            # for r = 3 mod 4, half_o is stated times s, which is not 0
-            lmax, wt = ((r - 1) // 4, 1) if r % 4 == 1 else ((r - 3) // 8, g)
-            for l in range(0, lmax + 1):
-                res.check(uu(h - 2 * l)
-                          == (uu(2 * l + 1) - e * s * uu(2 * l)) * uu(h),
-                          lab + ("half_e", l))
-                res.check(wt * uu(h - (2 * l - 1))
-                          == (g * uu(2 * l) - e * s * uu(2 * l - 1)) * uu(h),
-                          lab + ("half_o", l))
+            emit("even:%d:%d" % (r, k), verdicts)
+    for r in range(3, r_max + 1, 2):
+        hi = r - 1
+        verdicts = _odd_verdicts(r, _root_image(2 * r, hi), hi)
+        for k in _coprime_ks(r):
+            emit("odd:%d:%d" % (r, k), verdicts[1 if k % 2 else -1])
     return res
 
 

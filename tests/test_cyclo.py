@@ -1,16 +1,22 @@
 import hashlib
+import inspect
 import operator
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from reflektor.cyclo import (CycloElem, field_ctx, to_field, root_of_v,
-                             sqrt_root, named_constant, galois_norm,
+from reflektor import cyclo
+from reflektor.cyclo import (CycloElem, ModPMap, field_ctx, to_field,
+                             root_of_v, sqrt_root, named_constant, galois_norm,
                              power_basis_coords, quad_pow, quad_pow_closed,
                              root_identity_suite, norm_invertibility_suite,
-                             quad_power_suite, classification_search)
+                             quad_power_suite, classification_search,
+                             u_value_seq, u_at, _coprime_ks)
 from reflektor.mpoly import ALPHA
-from reflektor.upoly import v_poly, u_poly, euler_phi
+from reflektor.report import SuiteResult
+from reflektor.upoly import UPoly, v_poly, u_poly, euler_phi
 
 
 def test_ctx_degrees():
@@ -192,6 +198,172 @@ def test_root_identity_case_order_digest():
     assert len(cases) == 5804
     assert hashlib.sha256(repr(cases).encode()).hexdigest() == (
         "4564d801e7acc6495066e1258b6752dd9dd384ae93a2a46b52c300a4b29472d0")
+
+
+def _root_identity_oracle(r_max):
+    """The root identities checked in Q(zeta_N) itself, one root at a time
+    with CycloElem arithmetic: the same case ids, in the same order."""
+    res = SuiteResult("root_identities")
+
+    for p in range(2, r_max // 2 + 1):
+        r = 2 * p
+        for k in _coprime_ks(r):
+            g = root_of_v(r, k)
+            seq = u_value_seq(g, 8 * p + 4)
+            uu = lambda n: u_at(seq, n)
+            lab = ("even", r, k)
+            for kk in range(0, p + 1):
+                res.check(uu(2 * p - kk) == uu(kk), lab + ("mirror", kk))
+            for l in range(0, 4):
+                e = 1 if l % 2 == 0 else -1
+                for kk in range(0, p):
+                    res.check(uu(2 * l * p + kk) == e * uu(kk),
+                              lab + ("period", l, kk))
+            res.check(uu(2 * p - 1) == 1, lab + ("top+",))
+            res.check(uu(2 * p + 1) == -1, lab + ("top-",))
+            w = 4 - g
+            w0 = w if p % 2 else g * w
+            for kk in range(p + p % 2):
+                tag = (("ladder", kk) if p % 2 else
+                       (("ladder_e", "ladder_o")[kk % 2], kk // 2))
+                res.check((w if kk % 2 else w0) * uu(p) * uu(p - kk)
+                          == 2 * (uu(kk + 1) - uu(kk - 1)), lab + tag)
+            res.check(w0 * uu(p) * uu(p) == 4, lab + ("norm4",))
+            res.check(w * uu(p) * uu(p - 1) == 2, lab + ("norm2",))
+
+    for r in range(3, r_max + 1, 2):
+        h = (r - 1) // 2
+        for k in _coprime_ks(r):
+            s = sqrt_root(r, k)
+            g = s * s
+            seq = u_value_seq(g, 2 * r + 4)
+            uu = lambda n: u_at(seq, n)
+            lab = ("odd", r, k)
+            for kk in range(0, h):
+                res.check(uu(r - (2 * kk + 1)) == uu(2 * kk + 1) * uu(r - 1),
+                          lab + ("odd_step", kk))
+                res.check(uu(r - (2 * kk + 2)) == g * uu(2 * kk + 2) * uu(r - 1),
+                          lab + ("even_step", kk))
+            e = 1 if (k - 1) % 2 == 0 else -1
+            res.check(s * uu(r - 1) == e, lab + ("sqrt_sign",))
+            lmax, wt = ((r - 1) // 4, 1) if r % 4 == 1 else ((r - 3) // 8, g)
+            for l in range(0, lmax + 1):
+                res.check(uu(h - 2 * l)
+                          == (uu(2 * l + 1) - e * s * uu(2 * l)) * uu(h),
+                          lab + ("half_e", l))
+                res.check(wt * uu(h - (2 * l - 1))
+                          == (g * uu(2 * l) - e * s * uu(2 * l - 1)) * uu(h),
+                          lab + ("half_o", l))
+    return res
+
+
+def _cases(res):
+    return [(cid, status) for cid, status, _ in res.records]
+
+
+@pytest.mark.parametrize("r_max", range(3, 21))
+def test_root_identities_match_the_field_oracle(r_max):
+    assert _cases(root_identity_suite(r_max)) == _cases(
+        _root_identity_oracle(r_max))
+
+
+def _planted(obj, old, new):
+    """obj, the cyclo module or a function of this file, rebuilt from its
+    source with one piece of it replaced."""
+    src = inspect.getsource(obj)
+    assert src.count(old) == 1, old
+    code = compile(src.replace(old, new), inspect.getsourcefile(obj), "exec")
+    if isinstance(obj, types.ModuleType):
+        mod = types.ModuleType("reflektor._planted_cyclo")
+        mod.__package__ = "reflektor"
+        exec(code, mod.__dict__)
+        return mod
+    scope = dict(globals())
+    exec(code, scope)
+    return scope[obj.__name__]
+
+
+@pytest.mark.parametrize("family, plant, oracle_plant, count", [
+    ("top+", ("eq(u(r - 1), 1)", "eq(u(r - 1), 2)"),
+     ("uu(2 * p - 1) == 1", "uu(2 * p - 1) == 2"), 47),
+    ("ladder", ("2 * (u(kk + 1)", "3 * (u(kk + 1)"),
+     ("2 * (uu(kk + 1)", "3 * (uu(kk + 1)"), 480),
+    ("sqrt_sign", ("eq(s * ur, e)", "eq(s * ur, -e)"),
+     ("s * uu(r - 1) == e", "s * uu(r - 1) == -e"), 91),
+    ("even_step", ("g * u(2 * kk + 2) % p * ur", "u(2 * kk + 2) * ur"),
+     ("g * uu(2 * kk + 2) * uu(r - 1)", "uu(2 * kk + 2) * uu(r - 1)"), 873),
+])
+def test_planted_false_identities_fail_at_every_root(family, plant,
+                                                       oracle_plant, count):
+    res = _planted(cyclo, *plant).root_identity_suite(30)
+    want = _planted(_root_identity_oracle, *oracle_plant)(30)
+    assert _cases(res) == _cases(want)
+    # every failure is in the family (ladder_e and ladder_o are the ladder
+    # at even p); the ladder at odd p and kk = p, where both sides are 0,
+    # and even_step at r = 3, where g = 1, still hold
+    assert len(res.failures) == count
+    assert all(cid.split(":")[3].startswith(family) for cid in res.failures)
+
+
+def _chebyshev(hi):
+    """S_0 .. S_hi in c, with S_0 = 1, S_1 = c, S_(k+1) = c S_k - S_(k-1)."""
+    c = UPoly([0, 1])
+    s = [UPoly([1]), c]
+    while len(s) <= hi:
+        s.append(c * s[-1] - s[-2])
+    return s
+
+
+def test_u_at_squares_is_chebyshev():
+    # the bound |u_n| <= |n| on [0, 4] reads off S_k(2 cos t) =
+    # sin((k + 1) t) / sin t
+    c, s = UPoly([0, 1]), _chebyshev(81)
+    square = UPoly([0, 0, 1])
+    for m in range(41):
+        if m:
+            assert c * u_poly(2 * m).compose(square) == s[2 * m - 1]
+        assert u_poly(2 * m + 1).compose(square) == s[2 * m]
+
+
+@pytest.mark.parametrize("r_max", [3, 30, 60])
+def test_root_prime_exceeds_twice_the_bound(r_max, monkeypatch):
+    tables = []
+    u_images = cyclo._u_images
+
+    def recorded(x, hi, p):
+        t = u_images(x, hi, p)
+        tables.append((len(t) - 1, p, t.dtype))
+        return t
+
+    monkeypatch.setattr(cyclo, "_u_images", recorded)
+    assert root_identity_suite(r_max).passed
+    assert tables
+    # u reads no index past the table, so hi is the largest index of a run
+    for hi, p, dtype in tables:
+        assert p > 2 * (16 * hi * hi + 16 * hi)
+        assert dtype == np.int64
+
+
+def test_root_prime_is_asserted(monkeypatch):
+    monkeypatch.setattr(cyclo, "ModPMap", lambda n, above: ModPMap(n))
+    with pytest.raises(ArithmeticError, match="does not exceed 2B"):
+        root_identity_suite(3)
+
+
+def test_root_tables_past_int64_use_python_ints(monkeypatch):
+    want = _cases(root_identity_suite(16))
+    dtypes = set()
+    u_images = cyclo._u_images
+
+    def recorded(x, hi, p):
+        dtypes.add(x.dtype)
+        return u_images(x, hi, p)
+
+    monkeypatch.setattr(cyclo, "_root_image",
+                        lambda n, hi: ModPMap(n, above=1 << 31))
+    monkeypatch.setattr(cyclo, "_u_images", recorded)
+    assert _cases(root_identity_suite(16)) == want
+    assert dtypes == {np.dtype(object)}
 
 
 def test_norm_invertibility_suite_small():
