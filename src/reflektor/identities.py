@@ -7,22 +7,48 @@ several equivalent expressions checks all of them.
 
 A builder takes the ring it computes in as its first argument, a `Ring`
 record: `u(k)` is u_k, `x` is X, `y` is 4 - X, `uy(k)` is u_k(4 - X) and
-`zero` is 0.  The same builders run in three rings:
+`zero` is 0.  The same builders run in two rings: `UPoly` itself (u_poly,
+X, 4 - X, u_poly(k).compose(4 - X), 0), the slow oracle of the tests, and
+`LAURENT`, where `certify` decides them.
 
-- `MAJORANT`, where each value is a bound on the L1 norm (the sum of the
-  absolute coefficients) of the polynomial it stands for.  The norm is
-  subadditive and submultiplicative, so + and - both add, a product
-  multiplies and an int is its absolute value; u_k is ||u_k||_1, X is 1, 4 - X is 5 and
-  u_k(4 - X) is sum |c_i| 5^i over the coefficients c_i of u_k.  Then
-  B = L1(lhs) + L1(rhs) bounds every coefficient of lhs - rhs.
-- `kronecker_ring(K)`, plain ints at the point X = 2^K.  With
-  K = kronecker_bits(B), every coefficient of lhs - rhs is below 2^(K-1)
-  in absolute value, and such an integer polynomial is zero iff its value
-  at 2^K is: its lowest nonzero coefficient c_j would otherwise be a
-  multiple of 2^K.  So `certify` compares each index tuple's ints at the
-  point set by its own B, and each verdict is exact.
-- `UPoly` itself (u_poly, X, 4 - X, u_poly(k).compose(4 - X), 0), the
-  slow path the tests compare against.
+The certificate.  Put X = (t + 1/t)^2, which is 4cos^2(s) at t = e^(is).
+X -> t^2 + 2 + t^-2 is an injective ring map Z[X] -> Z[t, 1/t], since a
+nonzero f of degree d goes to c t^(2d) + (lower terms), so lhs = rhs in
+Z[X] exactly when their images agree.  The images have closed forms for
+every integer k, with a_k = t^k - t^-k (so u_0 = 0 and u_-k = -u_k):
+
+- u_k = a_k / (t - 1/t) for odd k and a_k / (t^2 - t^-2) for even k,
+  the ratios sin(ks)/sin(s) and sin(ks)/sin(2s);
+- X = (t + 1/t)^2 and 4 - X = -(t - 1/t)^2;
+- u_k(4 - X) is u_k at t -> i t, which sends X to 4 - X:
+  (-1)^((k-1)/2) (t^k + t^-k) / (t + 1/t) for odd k and
+  -(-1)^(k/2) a_k / (t^2 - t^-2) for even k.
+
+So every value is a Laurent numerator with a few terms over
+(t - 1/t)^a (t + 1/t)^b, with t^2 - t^-2 = (t - 1/t)(t + 1/t) and a, b
+negative for the factors of X and 4 - X.  A sum brings both numerators to
+the larger exponents by multiplying with t - 1/t or t + 1/t; a product
+multiplies numerators term by term, with no like terms merged on the way.
+Z[t, 1/t] is a domain, so lhs - rhs brought over one common nonzero
+denominator is zero exactly when its numerator is: a tuple passes when,
+for every pair, the coefficients of each exponent sum to 0.
+
+Batches.  An index batch (`_Idx`) holds one index per tuple and supports
++ - * //, unary minus and (-1) ** k; k % m is an int when every tuple has
+the same residue and a TypeError otherwise, as are comparisons, abs and
+truth tests.  Tuples are grouped by the parity of each index, so in a
+batch the parity of every index expression, and with it the shape of each
+closed form, is one int: `_sign`, `(r.x if n % 2 == 0 else 1)` and
+`(-1) ** ((p - 1) // 2)` run unchanged on whole batches of at most _BATCH
+tuples.  A builder that raises TypeError on a batch (it branches on abs,
+say) runs again one tuple at a time, on Python-int indices, through the
+same ring.  Every value carries a bound on the sum of the absolute values
+of its coefficients in any tuple: + adds bounds, * multiplies them, and a
+factor t +- 1/t doubles one.  That sum bounds every coefficient and every
+partial sum of like terms, so the coefficients are int64 while the bound
+is below 2^62 and Python ints (object arrays) from there on, and nothing
+wraps.  Indices are refused from 2^32 in absolute value on, so index
+arithmetic and the exponents of t stay far inside int64.
 
 The recurrence tag AR is the step-2 form u_{n+4} = (X-2) u_{n+2} - u_n,
 which is the one the family actually satisfies for every integer n.
@@ -30,88 +56,214 @@ which is the one the family actually satisfies for every integer n.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+import operator
+
+import numpy as np
 
 from .report import SuiteResult
-from .upoly import (UPoly, u_poly, v_poly, prime_power_class, n_prime,
-                    euler_phi, _divisors, _mobius)
+from .upoly import (UPoly, ring_pow, u_poly, v_poly, prime_power_class,
+                    n_prime, euler_phi, _divisors, _mobius)
 
 FOUR_MINUS_X = UPoly([4, -1])
 
 Ring = namedtuple("Ring", "u x y uy zero")
 
+# indices are below this in absolute value, so index arithmetic and the
+# exponents of t stay far inside int64
+_IDX_MAX = 1 << 32
+# coefficients are int64 while a value's bound is below this
+_INT64_BOUND = 1 << 62
+# the most index tuples in one batch
+_BATCH = 1 << 16
 
-class _L1:
-    """A bound on the L1 norm of an integer polynomial: + and - both add,
-    a product multiplies, and an int counts with its absolute value."""
-    __slots__ = ("v",)
 
-    def __init__(self, v):
-        self.v = v
+class _Idx:
+    """One index per tuple of a batch: an int64 array v, and its parity par
+    when that is known to be the same for every tuple (else None).
+    Arithmetic with ints and other batches is elementwise; k % m is an int
+    when it is the same for every tuple; anything that would branch per
+    tuple raises TypeError."""
+    __slots__ = ("v", "par")
+
+    def __init__(self, v, par=None):
+        self.v, self.par = v, par
+
+    def _op(self, other, f, keeps_parity=True):
+        if isinstance(other, _Idx):
+            w, q = other.v, other.par
+        elif isinstance(other, int):
+            w, q = other, other % 2
+        else:
+            return NotImplemented
+        par = None
+        if keeps_parity and self.par is not None and q is not None:
+            par = f(self.par, q) % 2
+        return _Idx(f(self.v, w), par)
 
     def __add__(self, other):
-        return _L1(self.v + (other.v if isinstance(other, _L1)
-                             else abs(other)))
+        return self._op(other, operator.add)
 
-    __radd__ = __sub__ = __rsub__ = __add__
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._op(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._op(other, lambda v, w: w - v)
 
     def __mul__(self, other):
-        return _L1(self.v * (other.v if isinstance(other, _L1)
-                             else abs(other)))
+        return self._op(other, operator.mul)
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other):
+        return self._op(other, operator.floordiv, keeps_parity=False)
+
     def __neg__(self):
-        return self
+        return _Idx(-self.v, self.par)
+
+    def __mod__(self, m):
+        if not isinstance(m, int):
+            return NotImplemented
+        if m == 2 and self.par is not None:
+            return self.par
+        res = self.v % m
+        if res.min() != res.max():
+            raise TypeError("index residues mod %d differ in a batch" % m)
+        return int(res[0])
+
+    def __rpow__(self, base):
+        if base != -1:
+            raise TypeError("only (-1) ** k is defined on an index batch")
+        return _Idx(1 - 2 * (self.v & 1))
+
+    def __bool__(self):
+        raise TypeError("an index batch has no truth value")
+
+    def __eq__(self, other):
+        raise TypeError("index batches do not compare")
+
+    __ne__ = __eq__
+    __hash__ = None
+
+
+def _coeffs(c, bound):
+    """c as int64 while bound is below _INT64_BOUND, else as Python ints."""
+    if bound < _INT64_BOUND:
+        return np.asarray(c, dtype=np.int64)
+    return np.asarray(c).astype(object)
+
+
+class _Laurent:
+    """Per tuple of a batch, num / ((t - 1/t)^a (t + 1/t)^b).  num has the
+    exponents e and the coefficients c, (rows, terms) arrays with one row
+    per tuple or one row for all; a and b are ints; bound is at least the
+    sum of |c| over any row."""
+    __slots__ = ("e", "c", "a", "b", "bound")
+    __array_ufunc__ = None
+
+    def __init__(self, e, c, a, b, bound):
+        self.e, self.c, self.a, self.b, self.bound = e, c, a, b, bound
+
+    def _over(self, a, b):
+        # the same value over (t - 1/t)^a (t + 1/t)^b: num times
+        # t + s/t, with s = -1 a - self.a times and s = 1 b - self.b times
+        e, c, bound = self.e, self.c, self.bound
+        for s in [-1] * (a - self.a) + [1] * (b - self.b):
+            bound *= 2
+            c = _coeffs(c, bound)
+            e = np.concatenate([e + 1, e - 1], axis=1)
+            c = np.concatenate([c, s * c], axis=1)
+        return _Laurent(e, c, a, b, bound)
+
+    def __add__(self, other):
+        other = _laurent(other)
+        a, b = max(self.a, other.a), max(self.b, other.b)
+        p, q = self._over(a, b), other._over(a, b)
+        bound = p.bound + q.bound
+        return _Laurent(_join(p.e, q.e),
+                        _join(_coeffs(p.c, bound), _coeffs(q.c, bound)),
+                        a, b, bound)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Laurent(self.e, -self.c, self.a, self.b, self.bound)
+
+    def __sub__(self, other):
+        return self + -_laurent(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = _laurent(other)
+        bound = self.bound * other.bound
+        c, d = _coeffs(self.c, bound), _coeffs(other.c, bound)
+        e = self.e[:, :, None] + other.e[:, None, :]
+        c = c[:, :, None] * d[:, None, :]
+        return _Laurent(e.reshape(len(e), -1), c.reshape(len(c), -1),
+                        self.a + other.a, self.b + other.b, bound)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _L1(self.v ** n)
+        return ring_pow(self, n, _laurent(1))
 
 
-@lru_cache(maxsize=None)
-def _u_l1(k):
-    return _L1(sum(abs(c) for c in u_poly(k).coeffs))
+def _join(p, q):
+    # the terms of p, then those of q, broadcast to the same rows
+    if len(p) != len(q):
+        rows = max(len(p), len(q))
+        p, q = (np.broadcast_to(x, (rows, x.shape[1])) for x in (p, q))
+    return np.concatenate([p, q], axis=1)
 
 
-@lru_cache(maxsize=None)
-def _uy_l1(k):
-    # ||(4 - X)^i||_1 = 5^i
-    return _L1(sum(abs(c) * 5 ** i for i, c in enumerate(u_poly(k).coeffs)))
+_E0 = np.zeros((1, 1), dtype=np.int64)
 
 
-MAJORANT = Ring(_u_l1, _L1(1), _L1(5), _uy_l1, _L1(0))
+def _laurent(v):
+    """v as a _Laurent: an int or an index batch is a constant per
+    tuple; anything else raises TypeError."""
+    if isinstance(v, _Laurent):
+        return v
+    if isinstance(v, int):
+        return _Laurent(_E0, _coeffs([[v]], abs(v)), 0, 0, abs(v))
+    if isinstance(v, _Idx):
+        return _Laurent(_E0, v.v[:, None], 0, 0, int(np.abs(v.v).max()))
+    raise TypeError("no Laurent value for %r" % (v,))
 
 
-# certify rounds each tuple's K up to a multiple of this, so that a tag's
-# tuples share a few rings and their cached values of u_n
-_K_STEP = 16
+def _vec(k):
+    return k.v if isinstance(k, _Idx) else np.array([k], dtype=np.int64)
 
 
-def kronecker_bits(bound):
-    """The K of the point 2^K that certifies integer polynomials whose
-    coefficients are at most bound in absolute value: bound < 2^(K-1)."""
-    return bound.bit_length() + 1
+_PLUS_MINUS = np.array([[1, -1]], dtype=np.int64)
+_PLUS_PLUS = np.array([[1, 1]], dtype=np.int64)
 
 
-def kronecker_ring(k):
-    """The ring of ints at X = 2^k, with u_n(2^k) and u_n(4 - 2^k) cached
-    per index for the life of the ring."""
-    t = 1 << k
+def _u(k):
+    # a_k / (t - 1/t), times 1 / (t + 1/t) for even k
+    v, odd = _vec(k), k % 2
+    return _Laurent(v[:, None] * _PLUS_MINUS, _PLUS_MINUS, 1, 1 - odd, 2)
 
-    @lru_cache(maxsize=None)
-    def u(n):
-        # Horner at 2^k by shifts
-        acc = 0
-        for c in reversed(u_poly(n).coeffs):
-            acc = (acc << k) + c
-        return acc
 
-    @lru_cache(maxsize=None)
-    def uy(n):
-        return u_poly(n).eval(4 - t)
+def _uy(k):
+    # u_k at t -> i t: (-1)^h (t^k + t^-k) / (t + 1/t) with h = (k-1)/2
+    # for odd k, -(-1)^h a_k / (t^2 - t^-2) with h = k/2 for even k
+    v, odd = _vec(k), k % 2
+    e = v[:, None] * _PLUS_MINUS
+    s = (1 - 2 * (((v - odd) // 2) & 1))[:, None]
+    if odd:
+        return _Laurent(e, s * _PLUS_PLUS, 0, 1, 2)
+    return _Laurent(e, -s * _PLUS_MINUS, 1, 1, 2)
 
-    return Ring(u, t, 4 - t, uy, 0)
+
+LAURENT = Ring(_u,
+               _Laurent(_E0, np.ones((1, 1), np.int64), 0, -2, 1),
+               _Laurent(_E0, -np.ones((1, 1), np.int64), -2, 0, 1),
+               _uy,
+               _Laurent(_E0[:, :0], _E0[:, :0], 0, 0, 0))
 
 
 def _any(idx):
@@ -220,42 +372,119 @@ def _result(name, label, cases, failures):
     return res
 
 
+def _unequal(pairs, rows):
+    """(bad, terms, degree) for a batch's pairs: bad marks the rows where
+    some lhs - rhs, over a common denominator, has a coefficient that does
+    not sum to 0; terms is the most terms of one row's numerator, and
+    degree the largest |exponent| of t in them.  Each row's terms are
+    sorted by exponent once, and like terms summed by one reduceat."""
+    bad = np.zeros(rows, dtype=bool)
+    terms = degree = 0
+    for lhs, rhs in pairs:
+        diff = _laurent(lhs) - rhs
+        n = diff.e.shape[1]
+        if not n:
+            continue
+        e = np.broadcast_to(diff.e, (rows, n))
+        c = np.broadcast_to(diff.c, (rows, n))
+        terms = max(terms, n)
+        degree = max(degree, int(np.abs(e).max()))
+        order = np.argsort(e, axis=1)
+        order += np.arange(0, rows * n, n)[:, None]
+        order = order.ravel()
+        e = e.ravel()[order]
+        first = np.empty(rows * n, dtype=bool)
+        first[1:] = e[1:] != e[:-1]
+        first[::n] = True
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(c.ravel()[order], starts)
+        bad[starts[sums != 0] // n] = True
+    return bad, terms, degree
+
+
+def _batch(build, block):
+    """_unequal for the index tuples of one parity class (the rows of
+    block), on one batch, or one tuple at a time if the builder raises
+    TypeError on a batch."""
+    try:
+        pairs = build(LAURENT, *_indices(block))
+    except TypeError:
+        bad, terms, degree = np.zeros(len(block), dtype=bool), 0, 0
+        for i, idx in enumerate(block.tolist()):
+            b, t, d = _unequal(build(LAURENT, *idx), 1)
+            bad[i], terms, degree = b[0], max(terms, t), max(degree, d)
+        return bad, terms, degree
+    return _unequal(pairs, len(block))
+
+
+def _indices(block):
+    """The columns of a block of one parity class, as index batches."""
+    return tuple(_Idx(col, int(col[0]) % 2) for col in block.T)
+
+
+def _parity_classes(idx):
+    """The rows of idx grouped by the parity of each index."""
+    cls = (idx & 1) @ (1 << np.arange(idx.shape[1]))
+    order = np.argsort(cls, kind="stable")
+    return [rows for rows in np.split(order, np.cumsum(np.bincount(cls)))
+            if len(rows)]
+
+
 def certify(build, tuples):
-    """(failures, bound) for a builder over index tuples.  Each tuple gets
-    its own MAJORANT bound B_t on a coefficient of lhs - rhs and is
-    compared at its own point X = 2^K, K = kronecker_bits(B_t) rounded up
-    to a multiple of _K_STEP; a pair that differs there differs as
-    polynomials, and one that agrees there agrees as polynomials.  failures
-    lists the tuples with some pair that differs, and bound is the largest
-    B_t.  The rings are shared by K within the call."""
-    failures, bound, rings = [], 0, {}
-    for idx in tuples:
-        b = max(lhs.v + rhs.v for lhs, rhs in build(MAJORANT, *idx))
-        bound = max(bound, b)
-        k = -(-kronecker_bits(b) // _K_STEP) * _K_STEP
-        ring = rings.get(k)
-        if ring is None:
-            ring = rings[k] = kronecker_ring(k)
-        if any(lhs != rhs for lhs, rhs in build(ring, *idx)):
-            failures.append(idx)
-    return failures, bound
+    """(failures, terms, degree) for a builder over index tuples, each
+    pair decided exactly as Laurent polynomials in t (module docstring).
+    failures lists the tuples with some pair that differs, as tuples of
+    ints in the order given; terms and degree are the largest of
+    `_unequal`'s over the batches.  The tuples are split by parity class
+    into batches of at most _BATCH."""
+    idx = np.asarray(tuples, dtype=np.int64)
+    if not idx.size:
+        return [], 0, 0
+    idx = idx.reshape(len(idx), -1)
+    if int(np.abs(idx).max()) >= _IDX_MAX:
+        raise ValueError("identity indices must be below 2^32 in absolute "
+                         "value")
+    failing, terms, degree = [], 0, 0
+    for rows in _parity_classes(idx):
+        for start in range(0, len(rows), _BATCH):
+            part = rows[start:start + _BATCH]
+            bad, t, d = _batch(build, idx[part])
+            failing.append(part[bad])
+            terms, degree = max(terms, t), max(degree, d)
+    failing = np.sort(np.concatenate(failing)) if failing else []
+    return [tuple(r) for r in idx[failing].tolist()], terms, degree
+
+
+def _admissible(arity, domain, lo, hi):
+    """The index tuples in [lo, hi]^arity that domain admits, as an
+    (N, arity) array in the order of itertools.product.  domain sees each
+    parity class as one batch and is asked tuple by tuple only where it
+    raises TypeError there."""
+    grid = np.indices((max(hi - lo + 1, 0),) * arity, dtype=np.int64)
+    grid = grid.reshape(arity, -1).T + lo
+    keep = np.zeros(len(grid), dtype=bool)
+    for rows in _parity_classes(grid):
+        block = grid[rows]
+        try:
+            keep[rows] = domain(_indices(block))
+        except TypeError:
+            keep[rows] = [domain(tuple(t)) for t in block.tolist()]
+    return grid[keep]
 
 
 def check_identity(tag, lo, hi, span=None):
     """Check one tag for every admissible index tuple with all indices in
     [lo, hi], by `certify`.  The one case is labelled (tag, span), or just
-    tag; its stats record the point 2^K as kronecker_bits (K) and the bit
-    length of the bound B as majorant_bits."""
+    tag; its stats record the most terms compared for one tuple as
+    laurent_terms and the largest |exponent| of t as laurent_degree."""
     if tag not in IDENTITIES:
         raise KeyError("unknown identity tag %r" % (tag,))
     arity, domain, build = IDENTITIES[tag]
-    tuples = [idx for idx in product(range(lo, hi + 1), repeat=arity)
-              if domain(idx)]
-    failures, bound = certify(build, tuples)
+    tuples = _admissible(arity, domain, lo, hi)
+    failures, terms, degree = certify(build, tuples)
     res = _result(tag, (tag, span) if span else tag, len(tuples), failures)
-    if tuples:
-        res.stats.update(kronecker_bits=kronecker_bits(bound),
-                         majorant_bits=bound.bit_length())
+    if len(tuples):
+        res.stats.update(laurent_terms=terms, laurent_degree=degree)
     return res
 
 

@@ -7,7 +7,7 @@ hence serialized output) is deterministic for a fixed code version.
 
 import time
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 def _case_id(label):

@@ -45,7 +45,7 @@ def test_verify_json_schema(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["suite_id"] == "s3_cor9"
-    assert payload[0]["artifact_version"] == 1
+    assert payload[0]["artifact_version"] == 2
     statuses = {c["status"] for c in payload[0]["cases"]}
     assert statuses <= {"pass", "fail", "skipped"}
     assert all(c["status"] == "pass" for c in payload[0]["cases"])
@@ -91,8 +91,9 @@ def test_verify_identities_range_with_no_tuple_for_a_tag(capsys):
                                     "status": "skipped",
                                     "detail": "0 index tuples"}
     assert [c["status"] for c in cases.values()].count("skipped") == 1
-    stats = payload["stats"]
-    assert stats["kronecker_bits"] == stats["majorant_bits"] + 1
+    # the most terms of one tuple's lhs - rhs (C5_10 and C5_11), and the
+    # largest |exponent| of t in them (P7_19 and C8_22, at n = -5)
+    assert payload["stats"] == {"laurent_terms": 20, "laurent_degree": 22}
 
 
 def test_verify_section2_kmax(capsys):

@@ -1,17 +1,17 @@
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 from reflektor import identities
 from reflektor.identities import (IDENTITIES, ALL_TAGS, FOUR_MINUS_X, Ring,
-                                  MAJORANT, certify, check_identity,
+                                  LAURENT, certify, check_identity,
                                   check_all_identities, factorization_check,
-                                  kronecker_bits, kronecker_ring,
                                   theta_v_check, reflection_map_check)
 from reflektor.upoly import UPoly, X, u_poly, v_poly, theta
 
-# the catalog in UPoly arithmetic: the slow path the certificate replaces
+# the catalog in UPoly arithmetic: the oracle of the Laurent certificate
 UPOLY = Ring(u_poly, X, FOUR_MINUS_X,
              lru_cache(maxsize=None)(lambda k: u_poly(k).compose(FOUR_MINUS_X)),
              UPoly())
@@ -68,13 +68,15 @@ def test_report_shape():
     assert d["suite_id"] == "A1"
     assert d["cases"] == [{"case_id": "A1:-3..3", "status": "pass",
                            "detail": "7 index tuples"}]
-    # at n = 3, ||u_8||_1 + ||u_7||_1 + ||u_6||_1 = 21 + 13 + 8 = 42: six bits
-    assert d["stats"] == {"kronecker_bits": 7, "majorant_bits": 6}
+    # u_{2n+2} - u_{2n+1} + u_{2n} over (t - 1/t)(t + 1/t): 2 + 2 * 2 + 2
+    # terms, u_{2n+1} taken times t + 1/t; at n = 3 the largest exponent
+    # is 8, from a_8 and from a_7 (t + 1/t)
+    assert d["stats"] == {"laurent_terms": 8, "laurent_degree": 8}
     # the merged report keeps the largest value of each stat
     per_tag = [check_identity(t, -3, 3).stats for t in ALL_TAGS]
     assert check_all_identities(-3, 3, "-3..3").stats == {
         key: max(stats[key] for stats in per_tag)
-        for key in ("kronecker_bits", "majorant_bits")}
+        for key in ("laurent_terms", "laurent_degree")}
 
 
 def test_tag_with_no_admissible_tuple_is_skipped():
@@ -96,14 +98,11 @@ def test_failing_identity_lists_its_tuples(monkeypatch):
     assert rep.records[0][2] == "3 index tuples; failing: [(-1,), (1,)]"
 
 
-def bumped(build):
-    # X - 2^16 on the tuples with every |index| <= 2 only.  Their catalog
-    # bounds are below 2^9, so they alone would put a tuple at 2^16, where
-    # the term vanishes; with it, B < 2^17 and a sound K is at least 17.
-    # certify sees the term only if each tuple's own bound covers every
-    # term and K keeps that margin
+def bumped(build, term=lambda r: r.x - 2 ** 16):
+    # term added to the rhs on the tuples with every |index| <= 2 only;
+    # the test on abs sends the builder down the one-tuple path
     return lambda r, *idx: [
-        (lhs, rhs + (r.x - 2 ** 16) if max(map(abs, idx)) <= 2 else rhs)
+        (lhs, rhs + term(r) if max(map(abs, idx)) <= 2 else rhs)
         for lhs, rhs in build(r, *idx)]
 
 
@@ -121,19 +120,151 @@ def test_verdicts_match_the_upoly_ring(tag):
     assert failing
 
 
-def test_kronecker_point_clears_the_majorant():
-    # X - 2^k vanishes at 2^k, and its majorant 2^k + 1 has k + 1 bits, so
-    # the point 2^K of the certificate needs K > k + 1
-    for k in (1, 5, 64, 127):
-        poly = X - UPoly([2 ** k])
-        assert poly.eval(2 ** k) == 0
-        bound = (MAJORANT.x - 2 ** k).v
-        assert bound == 2 ** k + 1
-        K = kronecker_bits(bound)
-        assert K > bound.bit_length()
-        assert poly.eval(2 ** K) != 0
-        ring = kronecker_ring(K)
-        assert ring.x - 2 ** k == poly.eval(2 ** K)
+def spy_dtypes(monkeypatch):
+    """The coefficient dtypes of every side that certify compares."""
+    seen = set()
+    compare = identities._unequal
+
+    def spy(pairs, rows):
+        pairs = list(pairs)
+        for side in (s for pair in pairs for s in pair):
+            seen.add(identities._laurent(side).c.dtype)
+        return compare(pairs, rows)
+
+    monkeypatch.setattr(identities, "_unequal", spy)
+    return seen
+
+
+@pytest.mark.parametrize("tag", ["A1", "P4_odd", "C6_16", "P7_18", "C10_25"])
+def test_a_constant_past_int64_takes_python_ints(tag, monkeypatch):
+    tuples = admissible(tag, -6, 6)
+    build = IDENTITIES[tag][2]
+    big = 2 ** 70
+    seen = spy_dtypes(monkeypatch)
+    # on both sides the constant cancels, and the catalog still holds
+    both = lambda r, *idx: [(lhs + big, rhs + big)
+                            for lhs, rhs in build(r, *idx)]
+    assert certify(both, tuples)[0] == []
+    assert seen == {np.dtype(object)}
+    # on one side, at |n| <= 2, it fails exactly there
+    seen.clear()
+    one = bumped(build, lambda r: big)
+    small = [idx for idx in tuples if max(map(abs, idx)) <= 2]
+    assert certify(one, tuples)[0] == upoly_failures(one, tuples) == small
+    assert np.dtype(object) in seen
+
+
+def t_poly(coeffs, shift):
+    """The Laurent polynomial t^shift * (UPoly in t), as a pair."""
+    return UPoly(coeffs), shift
+
+
+def l_mul(p, q):
+    return p[0] * q[0], p[1] + q[1]
+
+
+def l_eq(p, q):
+    low = min(p[1], q[1])
+    return (UPoly([0] * (p[1] - low) + list(p[0].coeffs))
+            == UPoly([0] * (q[1] - low) + list(q[0].coeffs)))
+
+
+def at_t(f):
+    """f(X) at X = (t + 1/t)^2: t^(-2d) times sum c_i Q^i t^(2(d-i)), with
+    Q = t^2 X = (1 + t^2)^2, by Horner."""
+    q, acc = UPoly([1, 0, 2, 0, 1]), UPoly()
+    for j, c in enumerate(reversed(f.coeffs)):
+        acc = acc * q + UPoly([0] * (2 * j) + [c])
+    return acc, -2 * f.degree
+
+
+T_MINUS, T_PLUS = t_poly([-1, 0, 1], -1), t_poly([1, 0, 1], -1)
+
+
+def multiplied_out(value, f_at_t):
+    """Both sides of value = f(X) multiplied out, given f at
+    X = (t + 1/t)^2: the module's numerator, and f times value's
+    denominator (t - 1/t)^a (t + 1/t)^b, each negative power moved to the
+    other side."""
+    (e,), (c,) = value.e.tolist(), value.c.tolist()
+    low = min(e, default=0)
+    coeffs = [0] * (max(e, default=0) - low + 1)
+    for k, ck in zip(e, c):
+        coeffs[k - low] += ck
+    num, lhs = t_poly(coeffs, low), f_at_t
+    for factor, power in ((T_MINUS, value.a), (T_PLUS, value.b)):
+        for _ in range(abs(power)):
+            if power > 0:
+                lhs = l_mul(lhs, factor)
+            else:
+                num = l_mul(num, factor)
+    return num, lhs
+
+
+@lru_cache(maxsize=None)
+def at_t_of_u(k, reflected):
+    # u_-k = -u_k, so only k >= 0 is substituted
+    if k < 0:
+        poly, shift = at_t_of_u(-k, reflected)
+        return -poly, shift
+    f = u_poly(k)
+    return at_t(f.compose(FOUR_MINUS_X) if reflected else f)
+
+
+def test_laurent_forms_of_the_ring():
+    # X = (t + 1/t)^2, 4 - X = -(t - 1/t)^2, and the closed forms of u_k
+    # and u_k(4 - X) against u_poly(k) and its composition with 4 - X
+    for value, f in ((LAURENT.x, X), (LAURENT.y, FOUR_MINUS_X),
+                     (LAURENT.zero, UPoly())):
+        assert l_eq(*multiplied_out(value, at_t(f)))
+    for k in range(-200, 201):
+        assert l_eq(*multiplied_out(LAURENT.u(k), at_t_of_u(k, False))), k
+        assert l_eq(*multiplied_out(LAURENT.uy(k), at_t_of_u(k, True))), k
+
+
+@pytest.mark.parametrize("tag", ["AR", "C5_14", "P4_odd", "P7_19"])
+def test_batches_split_a_class_without_changing_the_verdicts(tag,
+                                                             monkeypatch):
+    tuples = admissible(tag, -12, 12)
+    variant = shifted(IDENTITIES[tag][2])
+    whole = certify(variant, tuples)
+    assert whole[0]
+    monkeypatch.setattr(identities, "_BATCH", 7)
+    assert certify(variant, tuples) == whole
+
+
+def test_a_builder_that_branches_on_abs_runs_one_tuple_at_a_time():
+    tuples = admissible("P7_17", -6, 6)
+    build = bumped(IDENTITIES["P7_17"][2])
+    seen = []
+
+    def recording(r, *idx):
+        seen.append(type(idx[0]))
+        return build(r, *idx)
+
+    failures = certify(recording, tuples)[0]
+    assert failures == upoly_failures(build, tuples)
+    assert failures == [idx for idx in tuples if max(map(abs, idx)) <= 2]
+    # one try on each parity class's batch, then every tuple on its own
+    assert seen.count(identities._Idx) == 4
+    assert seen.count(int) == len(tuples)
+
+
+def test_index_batches_refuse_to_branch():
+    n = identities._Idx(np.array([3, 5, -7, 9]), 1)
+    assert n % 2 == 1 and (2 * n + 1) % 2 == 1 and (n - 1) % 2 == 0
+    assert ((-1) ** ((n - 1) // 2)).v.tolist() == [-1, 1, 1, 1]
+    assert (n * n - 1) % 8 == 0
+    for branch in (lambda: n % 4, lambda: n >= 1, lambda: n == 3,
+                   lambda: bool(n), lambda: abs(n), lambda: 2 ** n,
+                   lambda: max(n, n)):
+        with pytest.raises(TypeError):
+            branch()
+
+
+def test_indices_past_2_to_32_are_refused():
+    with pytest.raises(ValueError):
+        certify(IDENTITIES["A1"][2], [(2 ** 32,)])
 
 
 def test_check_all_returns_one_report_per_tag():

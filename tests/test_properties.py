@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reflektor.cyclo import (CycloElem, ModPMap, _bareiss,
                              classification_search, field_ctx, galois_norm,
                              root_of_v, power_basis_coords, u_value_seq)
-from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES,
-                                  MAJORANT, Ring)
+from reflektor.identities import (ALL_TAGS, FOUR_MINUS_X, IDENTITIES, Ring,
+                                  certify)
 from reflektor import engine
 from reflektor.engine import (_keys, apply_rep, check_relation, closure,
                               element_order, regular_rep, scalar_power_check)
@@ -1089,31 +1089,32 @@ def test_symbolic_pair_C_matches_its_definition():
             assert pair_C(s, t) == _pair_C_by_definition(s, t)
 
 
-# -- identity catalog: the L1 majorant against UPoly --------------------
+# -- identity catalog: the Laurent certificate against UPoly ------------
 
 UPOLY_RING = Ring(u_poly, X, FOUR_MINUS_X,
                   lambda k: u_poly(k).compose(FOUR_MINUS_X), UPoly())
 
 
-def _l1(poly):
-    return sum(abs(c) for c in poly.coeffs)
-
-
-def _max_coeff(poly):
-    return max((abs(c) for c in poly.coeffs), default=0)
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(ALL_TAGS), st.integers(-25, 25), st.integers(-25, 25))
-def test_majorant_bounds_every_coefficient(tag, n, m):
+@given(st.sampled_from(ALL_TAGS), st.integers(-40, 40), st.integers(-40, 40),
+       st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
+       st.integers(0, 3), st.booleans())
+def test_laurent_verdict_matches_upoly_under_a_perturbation(tag, n, m, c, j,
+                                                            on_lhs):
+    # one side of every pair moved by c X^j, which breaks it unless c = 0
     arity, domain, build = IDENTITIES[tag]
     idx = (n, m)[:arity]
     assume(domain(idx))
-    for (lhs, rhs), (p, q) in zip(build(MAJORANT, *idx),
-                                  build(UPOLY_RING, *idx)):
-        assert lhs.v >= _l1(p) and rhs.v >= _l1(q)
-        # the bound does not lean on the cancellation that makes p = q
-        assert lhs.v + rhs.v >= max(_max_coeff(p - q), _max_coeff(p + q))
+
+    def perturbed(r, *idx):
+        bump = c * r.x ** j
+        return [(lhs + bump, rhs) if on_lhs else (lhs, rhs + bump)
+                for lhs, rhs in build(r, *idx)]
+
+    failures = certify(perturbed, [idx])[0]
+    expected = any(lhs != rhs for lhs, rhs in perturbed(UPOLY_RING, *idx))
+    assert failures == ([idx] if expected else [])
+    assert expected == (c != 0)
 
 
 # -- classification search: the mod-p filter against the exact search -----
