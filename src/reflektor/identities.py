@@ -34,9 +34,9 @@ denominator is zero exactly when its numerator is: a tuple passes when,
 for every pair, the coefficients of each exponent sum to 0.
 
 Batches.  An index batch (`_Idx`) holds one index per tuple and supports
-+ - * //, unary minus and (-1) ** k; k % m is an int when every tuple has
-the same residue and a TypeError otherwise, as are comparisons, abs and
-truth tests.  Tuples are grouped by the parity of each index, so in a
++ - * //, unary minus and (-1) ** k; k % 2 is an int while the parity is
+known (not after //), and raises TypeError otherwise, as do comparisons,
+abs and truth tests.  Tuples are grouped by the parity of each index, so in a
 batch the parity of every index expression, and with it the shape of each
 closed form, is one int: `_sign`, `(r.x if n % 2 == 0 else 1)` and
 `(-1) ** ((p - 1) // 2)` run unchanged on whole batches of at most _BATCH
@@ -79,10 +79,9 @@ _BATCH = 1 << 16
 
 class _Idx:
     """One index per tuple of a batch: an int64 array v, and its parity par
-    when that is known to be the same for every tuple (else None).
-    Arithmetic with ints and other batches is elementwise; k % m is an int
-    when it is the same for every tuple; anything that would branch per
-    tuple raises TypeError."""
+    when that is known to be the same for every tuple (else None, as after
+    //).  Arithmetic with ints and other batches is elementwise; k % 2 is
+    the int par; anything that would branch per tuple raises TypeError."""
     __slots__ = ("v", "par")
 
     def __init__(self, v, par=None):
@@ -123,19 +122,15 @@ class _Idx:
         return _Idx(-self.v, self.par)
 
     def __mod__(self, m):
-        if not isinstance(m, int):
-            return NotImplemented
-        if m == 2 and self.par is not None:
-            return self.par
-        res = self.v % m
-        if res.min() != res.max():
-            raise TypeError("index residues mod %d differ in a batch" % m)
-        return int(res[0])
+        if m != 2 or self.par is None:
+            raise TypeError("only k % 2 of known parity is defined on an "
+                            "index batch")
+        return self.par
 
     def __rpow__(self, base):
         if base != -1:
             raise TypeError("only (-1) ** k is defined on an index batch")
-        return _Idx(1 - 2 * (self.v & 1))
+        return _Idx(1 - 2 * (self.v & 1), 1)
 
     def __bool__(self):
         raise TypeError("an index batch has no truth value")

@@ -254,12 +254,32 @@ def test_index_batches_refuse_to_branch():
     n = identities._Idx(np.array([3, 5, -7, 9]), 1)
     assert n % 2 == 1 and (2 * n + 1) % 2 == 1 and (n - 1) % 2 == 0
     assert ((-1) ** ((n - 1) // 2)).v.tolist() == [-1, 1, 1, 1]
-    assert (n * n - 1) % 8 == 0
-    for branch in (lambda: n % 4, lambda: n >= 1, lambda: n == 3,
+    for branch in (lambda: n % 4, lambda: (n // 2) % 2, lambda: n >= 1,
+                   lambda: n == 3,
                    lambda: bool(n), lambda: abs(n), lambda: 2 ** n,
                    lambda: max(n, n)):
         with pytest.raises(TypeError):
             branch()
+
+
+def test_like_terms_are_summed_within_one_tuple_only():
+    # n + n is two terms at t^0 in every row; rows -1 and 1 of one batch
+    # sum to -2 and 2, not to 0 together
+    assert certify(lambda r, n: [(n + n, r.zero)], [(-1,), (1,)])[0] == [
+        (-1,), (1,)]
+
+
+def test_sums_of_terms_near_2_to_61_do_not_wrap():
+    # lhs - rhs is 8 b - 8 = 2^64 at t^0: each term fits int64, and the
+    # sum would wrap to 0 there; the bound 8 b + 8 sends it to Python ints
+    b = 2 ** 61 + 1
+
+    def build(r, n):
+        return [(r.zero + b + b + b + b, r.zero - b - b - b - b + 8)]
+
+    tuples = [(n,) for n in range(-3, 4)]
+    assert certify(build, tuples)[0] == upoly_failures(build, tuples) == \
+        tuples
 
 
 def test_indices_past_2_to_32_are_refused():
