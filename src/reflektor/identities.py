@@ -446,7 +446,7 @@ def certify(build, tuples):
             bad, t, d = _batch(build, idx[part])
             failing.append(part[bad])
             terms, degree = max(terms, t), max(degree, d)
-    failing = np.sort(np.concatenate(failing)) if failing else []
+    failing = np.sort(np.concatenate(failing))
     return [tuple(r) for r in idx[failing].tolist()], terms, degree
 
 
