@@ -56,6 +56,7 @@ which is the one the family actually satisfies for every integer n.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 import operator
 
 import numpy as np
@@ -143,10 +144,12 @@ class _Idx:
 
 
 def _coeffs(c, bound):
-    """c as int64 while bound is below _INT64_BOUND, else as Python ints."""
-    if bound < _INT64_BOUND:
-        return np.asarray(c, dtype=np.int64)
-    return np.asarray(c).astype(object)
+    """c as int64 while bound is below _INT64_BOUND, else as Python ints;
+    Python ints stay Python ints whatever the bound."""
+    c = np.asarray(c)
+    if bound < _INT64_BOUND and c.dtype != object:
+        return c.astype(np.int64, copy=False)
+    return c.astype(object)
 
 
 class _Laurent:
@@ -450,23 +453,6 @@ def certify(build, tuples):
     return [tuple(r) for r in idx[failing].tolist()], terms, degree
 
 
-def _admissible(arity, domain, lo, hi):
-    """The index tuples in [lo, hi]^arity that domain admits, as an
-    (N, arity) array in the order of itertools.product.  domain sees each
-    parity class as one batch and is asked tuple by tuple only where it
-    raises TypeError there."""
-    grid = np.indices((max(hi - lo + 1, 0),) * arity, dtype=np.int64)
-    grid = grid.reshape(arity, -1).T + lo
-    keep = np.zeros(len(grid), dtype=bool)
-    for rows in _parity_classes(grid):
-        block = grid[rows]
-        try:
-            keep[rows] = domain(_indices(block))
-        except TypeError:
-            keep[rows] = [domain(tuple(t)) for t in block.tolist()]
-    return grid[keep]
-
-
 def check_identity(tag, lo, hi, span=None):
     """Check one tag for every admissible index tuple with all indices in
     [lo, hi], by `certify`.  The one case is labelled (tag, span), or just
@@ -475,7 +461,8 @@ def check_identity(tag, lo, hi, span=None):
     if tag not in IDENTITIES:
         raise KeyError("unknown identity tag %r" % (tag,))
     arity, domain, build = IDENTITIES[tag]
-    tuples = _admissible(arity, domain, lo, hi)
+    tuples = np.array([idx for idx in product(range(lo, hi + 1), repeat=arity)
+                       if domain(idx)], dtype=np.int64).reshape(-1, arity)
     failures, terms, degree = certify(build, tuples)
     res = _result(tag, (tag, span) if span else tag, len(tuples), failures)
     if len(tuples):

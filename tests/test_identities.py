@@ -154,6 +154,15 @@ def test_a_constant_past_int64_takes_python_ints(tag, monkeypatch):
     assert np.dtype(object) in seen
 
 
+def test_zero_times_a_value_past_int64_is_zero():
+    # the product's bound is 0, but Python-int coefficients stay Python ints
+    r = LAURENT
+    for zero in (r.zero, 0 * r.u(3)):
+        zero_times = lambda r, n: [(zero * (r.x + 2 ** 70), r.zero),
+                                   ((r.x + 2 ** 70) * zero, 0)]
+        assert certify(zero_times, [(0,), (1,)])[0] == []
+
+
 def t_poly(coeffs, shift):
     """The Laurent polynomial t^shift * (UPoly in t), as a pair."""
     return UPoly(coeffs), shift
