@@ -33,22 +33,33 @@ Z[t, 1/t] is a domain, so lhs - rhs brought over one common nonzero
 denominator is zero exactly when its numerator is: a tuple passes when,
 for every pair, the coefficients of each exponent sum to 0.
 
-Batches.  An index batch (`_Idx`) holds one index per tuple and supports
-+ - * //, unary minus and (-1) ** k; k % 2 is an int while the parity is
-known (not after //), and raises TypeError otherwise, as do comparisons,
-abs and truth tests.  Tuples are grouped by the parity of each index, so in a
-batch the parity of every index expression, and with it the shape of each
-closed form, is one int: `_sign`, `(r.x if n % 2 == 0 else 1)` and
-`(-1) ** ((p - 1) // 2)` run unchanged on whole batches of at most _BATCH
-tuples.  A builder that raises TypeError on a batch (it branches on abs,
-say) runs again one tuple at a time, on Python-int indices, through the
-same ring.  Every value carries a bound on the sum of the absolute values
-of its coefficients in any tuple: + adds bounds, * multiplies them, and a
-factor t +- 1/t doubles one.  That sum bounds every coefficient and every
-partial sum of like terms, so the coefficients are int64 while the bound
-is below 2^62 and Python ints (object arrays) from there on, and nothing
-wraps.  Indices are refused from 2^32 in absolute value on, so index
-arithmetic and the exponents of t stay far inside int64.
+Classes.  `certify` decides each class of index tuples mod 4 once.  In
+the class with residues r_i, write n_i = r_i + 4 q_i and T_i = t^(q_i).
+An index that a builder forms from the n_i with + -, unary minus and int
+factors is affine, c + b_1 q_1 + ..., and t to that index is the monomial
+t^c T_1^b_1 ...; `_Affine` holds the exponent vector (c, b_1, ...).
+k % m is an int and k // m affine when m divides every b_i, so the
+parity of every index, and with it the shape and sign of each closed
+form, is fixed in a class: `_sign`, `(r.x if n % 2 == 0 else 1)` and
+`(-1) ** ((p - 1) // 2)` run unchanged.  Anything that would branch on
+the q_i raises TypeError: k % 8 of 4 q, comparisons, abs, truth tests,
+2 ** k, a product of two indices and an index used as a coefficient.
+Specialising T_i = t^(q_i) is a ring map Z[t^+-, T_1^+-, ...] ->
+Z[t^+-] that takes the class's numerator of lhs - rhs to each tuple's,
+so a class whose numerator is 0 holds for every integer q_i.  That
+covers more than the admissible tuples in range: C6_16 is proved for
+negative odd p too.  A class whose numerator is not 0, or whose builder
+raises TypeError (it branches on abs, say), is decided tuple by tuple, on
+Python-int indices, through the same ring; that lists its failing
+tuples.
+
+Every value carries a bound on the sum of the absolute values of its
+coefficients: + adds bounds, * multiplies them, and a factor t +- 1/t
+doubles one.  That sum bounds every coefficient and every partial sum of
+like terms, so the coefficients are int64 while the bound is below 2^62
+and Python ints (object arrays) from there on, and nothing wraps.
+Indices are refused from 2^32 in absolute value on, so the exponents of
+t on the tuple path stay far inside int64.
 
 The recurrence tag AR is the step-2 form u_{n+4} = (X-2) u_{n+2} - u_n,
 which is the one the family actually satisfies for every integer n.
@@ -57,7 +68,6 @@ which is the one the family actually satisfies for every integer n.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-import operator
 
 import numpy as np
 
@@ -69,78 +79,78 @@ FOUR_MINUS_X = UPoly([4, -1])
 
 Ring = namedtuple("Ring", "u x y uy zero")
 
-# indices are below this in absolute value, so index arithmetic and the
-# exponents of t stay far inside int64
+# indices are below this in absolute value, so the exponents of t on the
+# tuple path stay far inside int64
 _IDX_MAX = 1 << 32
 # coefficients are int64 while a value's bound is below this
 _INT64_BOUND = 1 << 62
-# the most index tuples in one batch
-_BATCH = 1 << 16
 
 
-class _Idx:
-    """One index per tuple of a batch: an int64 array v, and its parity par
-    when that is known to be the same for every tuple (else None, as after
-    //).  Arithmetic with ints and other batches is elementwise; k % 2 is
-    the int par; anything that would branch per tuple raises TypeError."""
-    __slots__ = ("v", "par")
+class _Affine:
+    """The index c + b_1 q_1 + ... of a class, as the exponent vector
+    v = (c, b_1, ...) of t^c T_1^b_1 ... with T_i = t^(q_i).  + - and int
+    factors are exact; k % m and k // m need m to divide every b_i, and
+    anything else that would branch on the q_i raises TypeError."""
+    __slots__ = ("v",)
 
-    def __init__(self, v, par=None):
-        self.v, self.par = v, par
-
-    def _op(self, other, f, keeps_parity=True):
-        if isinstance(other, _Idx):
-            w, q = other.v, other.par
-        elif isinstance(other, int):
-            w, q = other, other % 2
-        else:
-            return NotImplemented
-        par = None
-        if keeps_parity and self.par is not None and q is not None:
-            par = f(self.par, q) % 2
-        return _Idx(f(self.v, w), par)
+    def __init__(self, v):
+        self.v = v
 
     def __add__(self, other):
-        return self._op(other, operator.add)
+        if isinstance(other, _Affine):
+            return _Affine(tuple(x + y for x, y in zip(self.v, other.v)))
+        if isinstance(other, int):
+            return _Affine((self.v[0] + other,) + self.v[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return self * -1
+
     def __sub__(self, other):
-        return self._op(other, operator.sub)
+        return self + -other
 
     def __rsub__(self, other):
-        return self._op(other, lambda v, w: w - v)
+        return -self + other
 
-    def __mul__(self, other):
-        return self._op(other, operator.mul)
+    def __mul__(self, m):
+        if not isinstance(m, int):
+            return NotImplemented
+        return _Affine(tuple(m * x for x in self.v))
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other):
-        return self._op(other, operator.floordiv, keeps_parity=False)
-
-    def __neg__(self):
-        return _Idx(-self.v, self.par)
+    def _divisible(self, m):
+        if not isinstance(m, int) or any(b % m for b in self.v[1:]):
+            raise TypeError("k %% %r and k // %r branch on a class index"
+                            % (m, m))
 
     def __mod__(self, m):
-        if m != 2 or self.par is None:
-            raise TypeError("only k % 2 of known parity is defined on an "
-                            "index batch")
-        return self.par
+        self._divisible(m)
+        return self.v[0] % m
+
+    def __floordiv__(self, m):
+        self._divisible(m)
+        return _Affine(tuple(x // m for x in self.v))
 
     def __rpow__(self, base):
         if base != -1:
-            raise TypeError("only (-1) ** k is defined on an index batch")
-        return _Idx(1 - 2 * (self.v & 1), 1)
+            raise TypeError("only (-1) ** k is defined on a class index")
+        return 1 - 2 * (self % 2)
 
     def __bool__(self):
-        raise TypeError("an index batch has no truth value")
+        raise TypeError("a class index has no truth value")
 
     def __eq__(self, other):
-        raise TypeError("index batches do not compare")
+        raise TypeError("class indices do not compare")
 
-    __ne__ = __eq__
-    __hash__ = None
+
+def _class_of(r):
+    """The indices r_i + 4 q_i of the class with residues r."""
+    zeros = (0,) * len(r)
+    return tuple(_Affine((ri,) + zeros[:i] + (4,) + zeros[i + 1:])
+                 for i, ri in enumerate(r))
 
 
 def _coeffs(c, bound):
@@ -152,11 +162,21 @@ def _coeffs(c, bound):
     return c.astype(object)
 
 
+def _widen(e, d):
+    # exponent vectors with zeros appended up to d components: a value
+    # with no class index in it carries only the exponent of t
+    if e.shape[1] == d:
+        return e
+    wide = np.zeros((len(e), d), dtype=np.int64)
+    wide[:, :e.shape[1]] = e
+    return wide
+
+
 class _Laurent:
-    """Per tuple of a batch, num / ((t - 1/t)^a (t + 1/t)^b).  num has the
-    exponents e and the coefficients c, (rows, terms) arrays with one row
-    per tuple or one row for all; a and b are ints; bound is at least the
-    sum of |c| over any row."""
+    """num / ((t - 1/t)^a (t + 1/t)^b).  num has the terms c_j t^(e_j):
+    e is a (terms, d) array of exponent vectors, (c, b_1, ...) for
+    t^c T_1^b_1 ... on class indices and (c,) on ints, and c the
+    coefficients; a and b are ints; bound is at least the sum of |c|."""
     __slots__ = ("e", "c", "a", "b", "bound")
     __array_ufunc__ = None
 
@@ -170,8 +190,11 @@ class _Laurent:
         for s in [-1] * (a - self.a) + [1] * (b - self.b):
             bound *= 2
             c = _coeffs(c, bound)
-            e = np.concatenate([e + 1, e - 1], axis=1)
-            c = np.concatenate([c, s * c], axis=1)
+            n = len(e)
+            e = np.concatenate([e, e])
+            e[:n, 0] += 1
+            e[n:, 0] -= 1
+            c = np.concatenate([c, s * c])
         return _Laurent(e, c, a, b, bound)
 
     def __add__(self, other):
@@ -179,8 +202,10 @@ class _Laurent:
         a, b = max(self.a, other.a), max(self.b, other.b)
         p, q = self._over(a, b), other._over(a, b)
         bound = p.bound + q.bound
-        return _Laurent(_join(p.e, q.e),
-                        _join(_coeffs(p.c, bound), _coeffs(q.c, bound)),
+        d = max(p.e.shape[1], q.e.shape[1])
+        return _Laurent(np.concatenate([_widen(p.e, d), _widen(q.e, d)]),
+                        np.concatenate([_coeffs(p.c, bound),
+                                        _coeffs(q.c, bound)]),
                         a, b, bound)
 
     __radd__ = __add__
@@ -197,10 +222,10 @@ class _Laurent:
     def __mul__(self, other):
         other = _laurent(other)
         bound = self.bound * other.bound
-        c, d = _coeffs(self.c, bound), _coeffs(other.c, bound)
-        e = self.e[:, :, None] + other.e[:, None, :]
-        c = c[:, :, None] * d[:, None, :]
-        return _Laurent(e.reshape(len(e), -1), c.reshape(len(c), -1),
+        d = max(self.e.shape[1], other.e.shape[1])
+        e = _widen(self.e, d)[:, None] + _widen(other.e, d)[None]
+        c = np.multiply.outer(_coeffs(self.c, bound), _coeffs(other.c, bound))
+        return _Laurent(e.reshape(-1, d), c.ravel(),
                         self.a + other.a, self.b + other.b, bound)
 
     __rmul__ = __mul__
@@ -209,59 +234,49 @@ class _Laurent:
         return ring_pow(self, n, _laurent(1))
 
 
-def _join(p, q):
-    # the terms of p, then those of q, broadcast to the same rows
-    if len(p) != len(q):
-        rows = max(len(p), len(q))
-        p, q = (np.broadcast_to(x, (rows, x.shape[1])) for x in (p, q))
-    return np.concatenate([p, q], axis=1)
-
-
 _E0 = np.zeros((1, 1), dtype=np.int64)
 
 
 def _laurent(v):
-    """v as a _Laurent: an int or an index batch is a constant per
-    tuple; anything else raises TypeError."""
+    """v as a _Laurent: an int is a constant; anything else, a class
+    index included, raises TypeError."""
     if isinstance(v, _Laurent):
         return v
     if isinstance(v, int):
-        return _Laurent(_E0, _coeffs([[v]], abs(v)), 0, 0, abs(v))
-    if isinstance(v, _Idx):
-        return _Laurent(_E0, v.v[:, None], 0, 0, int(np.abs(v.v).max()))
+        return _Laurent(_E0, _coeffs([v], abs(v)), 0, 0, abs(v))
     raise TypeError("no Laurent value for %r" % (v,))
 
 
-def _vec(k):
-    return k.v if isinstance(k, _Idx) else np.array([k], dtype=np.int64)
+_PLUS_MINUS = np.array([1, -1], dtype=np.int64)
+_PLUS_PLUS = np.array([1, 1], dtype=np.int64)
 
 
-_PLUS_MINUS = np.array([[1, -1]], dtype=np.int64)
-_PLUS_PLUS = np.array([[1, 1]], dtype=np.int64)
+def _pm(k):
+    # the exponent vectors of t^k and t^-k
+    v = k.v if isinstance(k, _Affine) else (k,)
+    return np.array([v, [-x for x in v]], dtype=np.int64)
 
 
 def _u(k):
     # a_k / (t - 1/t), times 1 / (t + 1/t) for even k
-    v, odd = _vec(k), k % 2
-    return _Laurent(v[:, None] * _PLUS_MINUS, _PLUS_MINUS, 1, 1 - odd, 2)
+    return _Laurent(_pm(k), _PLUS_MINUS, 1, 1 - k % 2, 2)
 
 
 def _uy(k):
     # u_k at t -> i t: (-1)^h (t^k + t^-k) / (t + 1/t) with h = (k-1)/2
     # for odd k, -(-1)^h a_k / (t^2 - t^-2) with h = k/2 for even k
-    v, odd = _vec(k), k % 2
-    e = v[:, None] * _PLUS_MINUS
-    s = (1 - 2 * (((v - odd) // 2) & 1))[:, None]
+    odd = k % 2
+    s = 1 - 2 * ((k - odd) // 2 % 2)
     if odd:
-        return _Laurent(e, s * _PLUS_PLUS, 0, 1, 2)
-    return _Laurent(e, -s * _PLUS_MINUS, 1, 1, 2)
+        return _Laurent(_pm(k), s * _PLUS_PLUS, 0, 1, 2)
+    return _Laurent(_pm(k), -s * _PLUS_MINUS, 1, 1, 2)
 
 
 LAURENT = Ring(_u,
-               _Laurent(_E0, np.ones((1, 1), np.int64), 0, -2, 1),
-               _Laurent(_E0, -np.ones((1, 1), np.int64), -2, 0, 1),
+               _Laurent(_E0, np.ones(1, np.int64), 0, -2, 1),
+               _Laurent(_E0, -np.ones(1, np.int64), -2, 0, 1),
                _uy,
-               _Laurent(_E0[:, :0], _E0[:, :0], 0, 0, 0))
+               _Laurent(_E0[:0], _E0[0, :0], 0, 0, 0))
 
 
 def _any(idx):
@@ -370,71 +385,37 @@ def _result(name, label, cases, failures):
     return res
 
 
-def _unequal(pairs, rows):
-    """(bad, terms, degree) for a batch's pairs: bad marks the rows where
+def _unequal(pairs):
+    """(bad, terms, degree) for the pairs of one tuple or class: bad when
     some lhs - rhs, over a common denominator, has a coefficient that does
-    not sum to 0; terms is the most terms of one row's numerator, and
-    degree the largest |exponent| of t in them.  Each row's terms are
-    sorted by exponent once, and like terms summed by one reduceat."""
-    bad = np.zeros(rows, dtype=bool)
-    terms = degree = 0
+    not sum to 0; terms is the most terms of one numerator, and degree the
+    largest |component| of an exponent vector in them.  The terms are
+    sorted by exponent vector, and like terms summed by one reduceat."""
+    bad, terms, degree = False, 0, 0
     for lhs, rhs in pairs:
         diff = _laurent(lhs) - rhs
-        n = diff.e.shape[1]
+        e, n = diff.e, len(diff.c)
         if not n:
             continue
-        e = np.broadcast_to(diff.e, (rows, n))
-        c = np.broadcast_to(diff.c, (rows, n))
         terms = max(terms, n)
         degree = max(degree, int(np.abs(e).max()))
-        order = np.argsort(e, axis=1)
-        order += np.arange(0, rows * n, n)[:, None]
-        order = order.ravel()
-        e = e.ravel()[order]
-        first = np.empty(rows * n, dtype=bool)
-        first[1:] = e[1:] != e[:-1]
-        first[::n] = True
-        starts = np.flatnonzero(first)
-        sums = np.add.reduceat(c.ravel()[order], starts)
-        bad[starts[sums != 0] // n] = True
+        order = np.lexsort(e.T)
+        e = e[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        first[1:] = (e[1:] != e[:-1]).any(axis=1)
+        sums = np.add.reduceat(diff.c[order], np.flatnonzero(first))
+        bad = bad or bool((sums != 0).any())
     return bad, terms, degree
-
-
-def _batch(build, block):
-    """_unequal for the index tuples of one parity class (the rows of
-    block), on one batch, or one tuple at a time if the builder raises
-    TypeError on a batch."""
-    try:
-        pairs = build(LAURENT, *_indices(block))
-    except TypeError:
-        bad, terms, degree = np.zeros(len(block), dtype=bool), 0, 0
-        for i, idx in enumerate(block.tolist()):
-            b, t, d = _unequal(build(LAURENT, *idx), 1)
-            bad[i], terms, degree = b[0], max(terms, t), max(degree, d)
-        return bad, terms, degree
-    return _unequal(pairs, len(block))
-
-
-def _indices(block):
-    """The columns of a block of one parity class, as index batches."""
-    return tuple(_Idx(col, int(col[0]) % 2) for col in block.T)
-
-
-def _parity_classes(idx):
-    """The rows of idx grouped by the parity of each index."""
-    cls = (idx & 1) @ (1 << np.arange(idx.shape[1]))
-    order = np.argsort(cls, kind="stable")
-    return [rows for rows in np.split(order, np.cumsum(np.bincount(cls)))
-            if len(rows)]
 
 
 def certify(build, tuples):
     """(failures, terms, degree) for a builder over index tuples, each
-    pair decided exactly as Laurent polynomials in t (module docstring).
+    pair decided exactly as Laurent polynomials (module docstring).
     failures lists the tuples with some pair that differs, as tuples of
     ints in the order given; terms and degree are the largest of
-    `_unequal`'s over the batches.  The tuples are split by parity class
-    into batches of at most _BATCH."""
+    `_unequal`'s over the decisions made.  Each class mod 4 is decided
+    once on class indices, and tuple by tuple where that fails."""
     idx = np.asarray(tuples, dtype=np.int64)
     if not idx.size:
         return [], 0, 0
@@ -442,22 +423,29 @@ def certify(build, tuples):
     if int(np.abs(idx).max()) >= _IDX_MAX:
         raise ValueError("identity indices must be below 2^32 in absolute "
                          "value")
-    failing, terms, degree = [], 0, 0
-    for rows in _parity_classes(idx):
-        for start in range(0, len(rows), _BATCH):
-            part = rows[start:start + _BATCH]
-            bad, t, d = _batch(build, idx[part])
-            failing.append(part[bad])
+    codes = (idx & 3) @ 4 ** np.arange(idx.shape[1])
+    bad = np.zeros(len(idx), dtype=bool)
+    terms = degree = 0
+    for code, first in zip(*np.unique(codes, return_index=True)):
+        try:
+            fails, t, d = _unequal(build(
+                LAURENT, *_class_of((idx[first] & 3).tolist())))
             terms, degree = max(terms, t), max(degree, d)
-    failing = np.sort(np.concatenate(failing))
-    return [tuple(r) for r in idx[failing].tolist()], terms, degree
+        except TypeError:
+            fails = True
+        if fails:
+            for row in np.flatnonzero(codes == code):
+                bad[row], t, d = _unequal(build(LAURENT, *idx[row].tolist()))
+                terms, degree = max(terms, t), max(degree, d)
+    return [tuple(r) for r in idx[bad].tolist()], terms, degree
 
 
 def check_identity(tag, lo, hi, span=None):
     """Check one tag for every admissible index tuple with all indices in
     [lo, hi], by `certify`.  The one case is labelled (tag, span), or just
-    tag; its stats record the most terms compared for one tuple as
-    laurent_terms and the largest |exponent| of t as laurent_degree."""
+    tag; its stats record the most terms compared for one tuple or class
+    as laurent_terms and the largest |component| of an exponent vector as
+    laurent_degree."""
     if tag not in IDENTITIES:
         raise KeyError("unknown identity tag %r" % (tag,))
     arity, domain, build = IDENTITIES[tag]

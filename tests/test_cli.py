@@ -91,9 +91,10 @@ def test_verify_identities_range_with_no_tuple_for_a_tag(capsys):
                                     "status": "skipped",
                                     "detail": "0 index tuples"}
     assert [c["status"] for c in cases.values()].count("skipped") == 1
-    # the most terms of one tuple's lhs - rhs (C5_10 and C5_11), and the
-    # largest |exponent| of t in them (P7_19 and C8_22, at n = -5)
-    assert payload["stats"] == {"laurent_terms": 20, "laurent_degree": 22}
+    # the most terms of one lhs - rhs (C5_10 and C5_11), and the largest
+    # |component| of an exponent vector in them, 16: in P7_19, and in C8_21,
+    # C8_22, C10_25 and C10_26, where u_(4n+1) at n = r + 4 q carries T^16
+    assert payload["stats"] == {"laurent_terms": 20, "laurent_degree": 16}
 
 
 def test_verify_section2_kmax(capsys):

@@ -69,8 +69,9 @@ def test_report_shape():
     assert d["cases"] == [{"case_id": "A1:-3..3", "status": "pass",
                            "detail": "7 index tuples"}]
     # u_{2n+2} - u_{2n+1} + u_{2n} over (t - 1/t)(t + 1/t): 2 + 2 * 2 + 2
-    # terms, u_{2n+1} taken times t + 1/t; at n = 3 the largest exponent
-    # is 8, from a_8 and from a_7 (t + 1/t)
+    # terms, u_{2n+1} taken times t + 1/t; in the class n = 3 + 4 q the
+    # largest component is 8, from a_(8 + 8 q), t^8 T^8, and from
+    # a_(7 + 8 q) (t + 1/t)
     assert d["stats"] == {"laurent_terms": 8, "laurent_degree": 8}
     # the merged report keeps the largest value of each stat
     per_tag = [check_identity(t, -3, 3).stats for t in ALL_TAGS]
@@ -125,11 +126,11 @@ def spy_dtypes(monkeypatch):
     seen = set()
     compare = identities._unequal
 
-    def spy(pairs, rows):
+    def spy(pairs):
         pairs = list(pairs)
         for side in (s for pair in pairs for s in pair):
             seen.add(identities._laurent(side).c.dtype)
-        return compare(pairs, rows)
+        return compare(pairs)
 
     monkeypatch.setattr(identities, "_unequal", spy)
     return seen
@@ -195,7 +196,7 @@ def multiplied_out(value, f_at_t):
     X = (t + 1/t)^2: the module's numerator, and f times value's
     denominator (t - 1/t)^a (t + 1/t)^b, each negative power moved to the
     other side."""
-    (e,), (c,) = value.e.tolist(), value.c.tolist()
+    e, c = [k for (k,) in value.e.tolist()], value.c.tolist()
     low = min(e, default=0)
     coeffs = [0] * (max(e, default=0) - low + 1)
     for k, ck in zip(e, c):
@@ -231,49 +232,140 @@ def test_laurent_forms_of_the_ring():
         assert l_eq(*multiplied_out(LAURENT.uy(k), at_t_of_u(k, True))), k
 
 
-@pytest.mark.parametrize("tag", ["AR", "C5_14", "P4_odd", "P7_19"])
-def test_batches_split_a_class_without_changing_the_verdicts(tag,
-                                                             monkeypatch):
-    tuples = admissible(tag, -12, 12)
-    variant = shifted(IDENTITIES[tag][2])
-    whole = certify(variant, tuples)
-    assert whole[0]
-    monkeypatch.setattr(identities, "_BATCH", 7)
-    assert certify(variant, tuples) == whole
+def recording(build, seen):
+    # build, noting the type of the first index of every call
+    def call(r, *idx):
+        seen.append(type(idx[0]))
+        return build(r, *idx)
+    return call
 
 
 def test_a_builder_that_branches_on_abs_runs_one_tuple_at_a_time():
     tuples = admissible("P7_17", -6, 6)
     build = bumped(IDENTITIES["P7_17"][2])
     seen = []
-
-    def recording(r, *idx):
-        seen.append(type(idx[0]))
-        return build(r, *idx)
-
-    failures = certify(recording, tuples)[0]
+    failures = certify(recording(build, seen), tuples)[0]
     assert failures == upoly_failures(build, tuples)
     assert failures == [idx for idx in tuples if max(map(abs, idx)) <= 2]
-    # one try on each parity class's batch, then every tuple on its own
-    assert seen.count(identities._Idx) == 4
+    # one try on each of the 16 classes mod 4, then every tuple on its own
+    assert seen.count(identities._Affine) == 16
     assert seen.count(int) == len(tuples)
 
 
+def test_the_catalog_to_30_is_proved_class_by_class(monkeypatch):
+    seen = []
+    for tag, (arity, domain, build) in list(IDENTITIES.items()):
+        monkeypatch.setitem(IDENTITIES, tag,
+                            (arity, domain, recording(build, seen)))
+    assert check_all_identities(-30, 30, "|n|<=30").passed
+    # 13 tags of arity 1 with 4 classes, 8 with 2 admissible ones, and 6
+    # of arity 2 with 16; no tuple is decided on its own
+    assert seen.count(identities._Affine) == 13 * 4 + 8 * 2 + 6 * 16 == 164
+    assert seen.count(int) == 0
+
+
 def test_index_batches_refuse_to_branch():
-    n = identities._Idx(np.array([3, 5, -7, 9]), 1)
-    assert n % 2 == 1 and (2 * n + 1) % 2 == 1 and (n - 1) % 2 == 0
-    assert ((-1) ** ((n - 1) // 2)).v.tolist() == [-1, 1, 1, 1]
-    for branch in (lambda: n % 4, lambda: (n // 2) % 2, lambda: n >= 1,
-                   lambda: n == 3,
-                   lambda: bool(n), lambda: abs(n), lambda: 2 ** n,
-                   lambda: max(n, n)):
+    # n = 3 + 4 q as a class index: t^n = t^3 T^4
+    n = identities._Affine((3, 4))
+    assert n % 4 == 3 and (n - 1) // 2 % 2 == 1 and (-1) ** n == -1
+    assert (2 * n + 1).v == (7, 8) and (1 - n).v == (-2, -4)
+    assert (n // 4).v == (0, 1) and (-n).v == (-3, -4)
+    for branch in (lambda: n % 8, lambda: n // 4 % 2, lambda: n >= 1,
+                   lambda: n == 3, lambda: bool(n), lambda: abs(n),
+                   lambda: 2 ** n, lambda: (-1) ** (n // 4),
+                   lambda: n * n, lambda: max(n, n),
+                   lambda: LAURENT.u(3) * n):
         with pytest.raises(TypeError):
             branch()
 
 
+def c6_16_unsigned(r, p):
+    return [(r.u(2*p), r.u(p) * r.uy(p))]
+
+
+# planted errors: (tag whose domain they take, builder, the residues mod 4
+# of the classes where each fails)
+PLANTS = {
+    "C5_10 with +1 for -1": ("C5_10", lambda r, n: [
+        (r.u(2*n), r.u(n+1) * (r.u(n) - r.u(n-2)) + 1)],
+        {(0,), (1,), (2,), (3,)}),
+    "AR with step 1": ("AR", lambda r, n: [
+        (r.u(n+2) - (r.x - 2)*r.u(n+1) + r.u(n), r.zero)],
+        {(0,), (1,), (2,), (3,)}),
+    "C6_16 without its sign": ("C6_16", c6_16_unsigned, {(3,)}),
+}
+
+
+def class_fails(build, residues):
+    return identities._unequal(
+        build(LAURENT, *identities._class_of(residues)))[0]
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_planted_errors_fail_in_exactly_their_classes(plant):
+    tag, build, failing = PLANTS[plant]
+    tuples = admissible(tag, -12, 12)
+    classes = {tuple(i % 4 for i in idx) for idx in tuples}
+    assert {r for r in classes if class_fails(build, r)} == failing
+    failures = certify(build, tuples)[0]
+    assert failures == upoly_failures(build, tuples)
+    assert {tuple(i % 4 for i in idx) for idx in failures} == failing
+
+
+def test_terms_that_differ_only_in_T_are_unlike():
+    # t^0 T - t^0 / T: the two terms share the exponent of t
+    diff = identities._Laurent(np.array([[0, 1], [0, -1]]),
+                               np.array([1, -1]), 0, 0, 2)
+    assert identities._unequal([(diff, 0)])[0]
+    assert not identities._unequal([(diff, diff)])[0]
+
+
+def sympy_ring():
+    """The closed forms of the module docstring as sympy rational
+    functions in t, T1 and T2, on class indices."""
+    sympy = pytest.importorskip("sympy")
+    t, *T = sympy.symbols("t T1 T2")
+
+    def power(k):
+        c, *b = k.v
+        return t ** c * sympy.Mul(*(Ti ** bi for Ti, bi in zip(T, b)))
+
+    def u(k):
+        a = power(k) - 1 / power(k)
+        return a / (t - 1 / t) if k % 2 else a / (t ** 2 - t ** -2)
+
+    def uy(k):
+        odd = k % 2
+        s = 1 - 2 * ((k - odd) // 2 % 2)
+        if odd:
+            return s * (power(k) + 1 / power(k)) / (t + 1 / t)
+        return -s * (power(k) - 1 / power(k)) / (t ** 2 - t ** -2)
+
+    x = (t + 1 / t) ** 2
+    return sympy, Ring(u, x, 4 - x, uy, sympy.Integer(0))
+
+
+@pytest.mark.parametrize("name", ["A1", "C6_16", "P4_odd", "P7_18",
+                                  "C10_26"] + list(PLANTS))
+def test_class_verdicts_match_sympy(name):
+    # every class mod 4, admissible or not, and the failing admissible
+    # ones are those named
+    sympy, ring = sympy_ring()
+    tag, build, failing = (PLANTS[name] if name in PLANTS
+                           else (name, IDENTITIES[name][2], set()))
+    holds = {}
+    for residues in product(range(4), repeat=IDENTITIES[tag][0]):
+        pairs = build(ring, *identities._class_of(residues))
+        holds[residues] = all(sympy.cancel(lhs - rhs) == 0
+                              for lhs, rhs in pairs)
+        assert class_fails(build, residues) == (not holds[residues])
+    classes = {tuple(i % 4 for i in idx) for idx in admissible(tag, -4, 4)}
+    assert {r for r in classes if not holds[r]} == failing
+
+
 def test_like_terms_are_summed_within_one_tuple_only():
-    # n + n is two terms at t^0 in every row; rows -1 and 1 of one batch
-    # sum to -2 and 2, not to 0 together
+    # n + n used as a value sends each tuple down its own path, where it is
+    # two terms at t^0; tuples -1 and 1 sum to -2 and 2, not to 0 together
     assert certify(lambda r, n: [(n + n, r.zero)], [(-1,), (1,)])[0] == [
         (-1,), (1,)]
 
