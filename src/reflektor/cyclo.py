@@ -20,10 +20,9 @@ The scalar kernel:
   convolution of the nonzero coefficients over the common denominator,
   reduced and gcd-normalized once; matrix products, matrix-vector products
   and Krylov columns of characteristic polynomials are longer dots;
-- fraction-free elimination (Bareiss 1968) inverts elements and finds
-  power-basis coordinates;
-- the norm N(x) is the resultant Res(Phi_N, P) / den^d of the integer
-  polynomial P of den * x, by the subresultant PRS;
+- one fraction-free elimination (Bareiss 1968) inverts elements, finds
+  power-basis coordinates and takes norms: N(x) is the determinant of the
+  integer matrix of multiplication by den * x, over den^d;
 - the root identities are decided on images mod p (ModPMap): one prime
   p = 1 mod N above 2B per field, where B = 16 hi^2 + 16 hi bounds every
   side in every embedding because |u_n| <= |n| on [0, 4], one int64 table
@@ -330,48 +329,15 @@ def to_field(x, ctx):
 
 def galois_norm(x):
     """The norm of x down to Q, the product of its Galois conjugates.  For
-    x = P(zeta) / den with P the integer polynomial of den * x, that is
-    Res(Phi_N, P) / den^d, since Phi_N is monic with the conjugates of
-    zeta as its roots (Cohen, A Course in Computational Algebraic Number
-    Theory, 3.3.2 and 4.3)."""
-    return Fraction(_resultant(x.ctx.phi_poly.coeffs, x.vec),
-                    x.den ** x.ctx.degree)
-
-
-def _resultant(a, b):
-    """Res(a, b) of integer polynomials given by ascending coefficients,
-    with a of degree >= 1 and above that of b, by the subresultant PRS
-    (Collins, J. ACM 14 (1967); Cohen, Alg. 3.3.7).  Each pseudo-remainder
-    is divided exactly by g h^delta, which keeps the coefficients minors of
-    the Sylvester matrix instead of letting them grow exponentially."""
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        return 0
-    s, g, h = 1, 1, 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & db & 1:
-            s = -s
-        # the pseudo-remainder lc(b)^(delta + 1) a mod b
-        r, lead = a, b[-1]
-        for top in range(da, db - 1, -1):
-            c = r[top]
-            r = [lead * v for v in r[:top]]
-            for j, v in enumerate(b[:-1], top - db):
-                r[j] -= c * v
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return 0
-        scale = g * h ** delta
-        a, b = b, [v // scale for v in r]
-        g = a[-1]
-        h = g ** delta // h ** (delta - 1)
-    da = len(a) - 1
-    return s * b[0] ** da // h ** (da - 1)
+    x = a / den with a integral, that is det(M_a) / den^d, where M_a is the
+    integer matrix of multiplication by a in the power basis, since the
+    eigenvalues of M_a are the conjugates of a (Cohen, A Course in
+    Computational Algebraic Number Theory, 4.3).  A column without a pivot
+    makes the determinant 0, which _bareiss does not report as its det."""
+    d = x.ctx.degree
+    # the columns of M_a go in as rows: the transpose has the same det
+    pivots, det = _bareiss([list(c) for c in x.ctx.mul_columns(x.vec)], d)
+    return Fraction(det if len(pivots) == d else 0, x.den ** d)
 
 
 # -- distinguished roots ----------------------------------------------
@@ -719,27 +685,36 @@ def norm_invertibility_suite(r_max):
     exhibits a monic-free integer combination gamma P(gamma) = p.  Same on
     the 4 - gamma side through the index map r -> r'.  The Galois norms are
     checked as well (they equal p to the power phi(r) / deg of the minimal
-    polynomial)."""
+    polynomial).
+
+    The four checks are decided once per r, on gamma = root_of_v(r, 1), and
+    that verdict is exact for every root k:
+    - sigma_k: zeta_r -> zeta_r^k is a field automorphism of Q(zeta_r); it
+      sends gamma to root_of_v(r, k), and 4 - gamma to 4 - sigma_k(gamma);
+    - the norm is the product over all embeddings, so it is sigma-invariant;
+    - applying sigma_k to p = sum_j y_j gamma^(j+1), with rational y_j,
+      gives the same y_j for sigma_k(gamma); sigma_k is Q-linear and
+      bijective, so p not in the span for gamma means not in the span for
+      sigma_k(gamma) either."""
     res = SuiteResult("norm_invertibility")
+
+    def integral(q, h, dim):
+        coords = power_basis_coords(h.ctx.from_fraction(q), h, dim, h)
+        return coords is not None and all(c.denominator == 1 for c in coords)
+
     for r in range(3, r_max + 1):
         dim = euler_phi(r) // 2
         p = prime_power_class(r)
         p4 = prime_power_class(n_prime(r))
+        g = root_of_v(r)
+        h = 4 - g
+        verdicts = [("norm", galois_norm(g) == p * p),
+                    ("norm4x", galois_norm(h) == p4 * p4),
+                    ("integral", integral(p, g, dim)),
+                    ("integral4x", integral(p4, h, dim))]
         for k in _coprime_ks(r):
-            g = root_of_v(r, k)
-            res.check(galois_norm(g) == Fraction(p) ** 2,
-                      ("norm", r, k))
-            res.check(galois_norm(4 - g) == Fraction(p4) ** 2,
-                      ("norm4x", r, k))
-            coords = power_basis_coords(g.ctx.from_fraction(p), g, dim, g)
-            res.check(coords is not None and
-                      all(c.denominator == 1 for c in coords),
-                      ("integral", r, k))
-            h = 4 - g
-            coords = power_basis_coords(g.ctx.from_fraction(p4), h, dim, h)
-            res.check(coords is not None and
-                      all(c.denominator == 1 for c in coords),
-                      ("integral4x", r, k))
+            for name, ok in verdicts:
+                res.check(ok, (name, r, k))
     return res
 
 

@@ -74,7 +74,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclo import CycloElem, ModPMap, _parts
-from .matrices import check_word, mat_word
+from .matrices import check_word
 from .upoly import UPoly, ring_pow
 
 _INT64_MAX = (1 << 63) - 1
@@ -589,13 +589,6 @@ def check_relation(gens, word, exponent=1, rhs_word=None, rhs_exponent=1):
 
     lhs = power(word, exponent)
     return lhs == (one if rhs_word is None else power(rhs_word, rhs_exponent))
-
-
-def conjugate(gens, i, word):
-    """g^w = w^-1 g w for 1-based index i and word of 1-based indices;
-    the conjugating letters are involutions here so the inverse word is the
-    reversal."""
-    return mat_word(gens, list(reversed(word)) + [i] + list(word))
 
 
 def _rank_mod_p(a, p):

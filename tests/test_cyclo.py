@@ -16,7 +16,8 @@ from reflektor.cyclo import (CycloElem, ModPMap, field_ctx, to_field,
                              u_value_seq, u_at, _coprime_ks)
 from reflektor.mpoly import ALPHA
 from reflektor.report import SuiteResult
-from reflektor.upoly import UPoly, v_poly, u_poly, euler_phi
+from reflektor.upoly import (UPoly, v_poly, u_poly, euler_phi, n_prime,
+                             prime_power_class)
 
 
 def test_ctx_degrees():
@@ -369,6 +370,45 @@ def test_root_tables_past_int64_use_python_ints(monkeypatch):
 def test_norm_invertibility_suite_small():
     res = norm_invertibility_suite(12)
     assert res.passed, res.failures[:5]
+
+
+def _norm_invertibility_oracle(r_max):
+    """The invertibility certificates checked one root_of_v(r, k) at a
+    time: the same case ids, in the same order."""
+    res = SuiteResult("norm_invertibility")
+    for r in range(3, r_max + 1):
+        dim = euler_phi(r) // 2
+        p = prime_power_class(r)
+        p4 = prime_power_class(n_prime(r))
+        for k in _coprime_ks(r):
+            g = root_of_v(r, k)
+            res.check(galois_norm(g) == Fraction(p) ** 2,
+                      ("norm", r, k))
+            res.check(galois_norm(4 - g) == Fraction(p4) ** 2,
+                      ("norm4x", r, k))
+            coords = power_basis_coords(g.ctx.from_fraction(p), g, dim, g)
+            res.check(coords is not None and
+                      all(c.denominator == 1 for c in coords),
+                      ("integral", r, k))
+            h = 4 - g
+            coords = power_basis_coords(g.ctx.from_fraction(p4), h, dim, h)
+            res.check(coords is not None and
+                      all(c.denominator == 1 for c in coords),
+                      ("integral4x", r, k))
+    return res
+
+
+@pytest.fixture(scope="module")
+def norm_oracle_40():
+    return _cases(_norm_invertibility_oracle(40))
+
+
+@pytest.mark.parametrize("r_max", range(3, 41))
+def test_norm_certificates_match_the_per_root_oracle(r_max, norm_oracle_40):
+    # the oracle runs r upward, so its cases to r_max are a prefix of
+    # those to 40
+    want = [c for c in norm_oracle_40 if int(c[0].split(":")[1]) <= r_max]
+    assert _cases(norm_invertibility_suite(r_max)) == want
 
 
 def test_quad_power_suite():

@@ -9,7 +9,7 @@ from reflektor import engine
 from reflektor.cyclo import field_ctx
 from reflektor.engine import (closure, element_order,
                               scalar_power_check, is_unipotent,
-                              check_relation, conjugate, center_order,
+                              check_relation, center_order,
                               monomial_group_order, regular_rep)
 from reflektor.matrices import SquareMat
 from reflektor.reflrep import (preset, preset_names, rank3_rep,
@@ -74,12 +74,6 @@ def test_check_relation_two_sided():
                           rhs_word=[2, 3, 1], rhs_exponent=2)
     assert check_relation(rep.gens, [1, 2, 3], 8)
     assert not check_relation(rep.gens, [1, 2, 3], 7)
-
-
-def test_conjugate_convention():
-    rep = preset("h3_coxeter")
-    got = conjugate(rep.gens, 2, [1])
-    assert got == rep.gens[0] * rep.gens[1] * rep.gens[0]
 
 
 def test_center_order():
