@@ -135,7 +135,7 @@ def cmd_verify(args):
         return 2
 
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
+        print(json.dumps([r.to_dict() for r in reports]))
     else:
         for r in reports:
             _print_report(r)

@@ -538,8 +538,16 @@ def _forms(mats):
     of 1, and the field."""
     ctx = mats[0].rows[0][0].ctx
     one = _Elem(np.eye(mats[0].n * ctx.degree, dtype=np.int64), 1)
-    return [_Elem(*regular_rep(m.rows, ctx, wide=True)[:2])
-            for m in mats], one, ctx
+    return [_form(m, ctx) for m in mats], one, ctx
+
+
+def _form(mat, ctx):
+    """The _Elem of mat over ctx, built once per matrix and field and kept
+    in mat.form, so the word functions build a generator set's forms once
+    however many words they read over it."""
+    if mat.form is None or mat.form[0] is not ctx:
+        mat.form = ctx, _Elem(*regular_rep(mat.rows, ctx, wide=True)[:2])
+    return mat.form[1]
 
 
 def element_order(mat, cap=10_000):

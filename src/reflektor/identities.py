@@ -67,13 +67,13 @@ which is the one the family actually satisfies for every integer n.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .report import SuiteResult
-from .upoly import (UPoly, ring_pow, u_poly, v_poly, prime_power_class,
-                    n_prime, euler_phi, _divisors, _mobius)
+from .upoly import (UPoly, ring_pow, u_poly, v_poly, u_constant_and_degree,
+                    prime_power_class, n_prime, euler_phi, _divisors,
+                    _mobius)
 
 FOUR_MINUS_X = UPoly([4, -1])
 
@@ -279,6 +279,8 @@ LAURENT = Ring(_u,
                _Laurent(_E0[:0], _E0[0, :0], 0, 0, 0))
 
 
+# domains: idx is an index grid whose row i holds the i-th index of every
+# tuple; the result masks its columns, or is True for all of them
 def _any(idx):
     return True
 
@@ -292,7 +294,7 @@ def _n_odd(idx):
 
 
 def _p_odd_pos(idx):
-    return idx[0] >= 1 and idx[0] % 2 == 1
+    return (idx[0] >= 1) & (idx[0] % 2 == 1)
 
 
 def _sign(k):
@@ -449,8 +451,9 @@ def check_identity(tag, lo, hi, span=None):
     if tag not in IDENTITIES:
         raise KeyError("unknown identity tag %r" % (tag,))
     arity, domain, build = IDENTITIES[tag]
-    tuples = np.array([idx for idx in product(range(lo, hi + 1), repeat=arity)
-                       if domain(idx)], dtype=np.int64).reshape(-1, arity)
+    # every tuple of [lo, hi]^arity in lexicographic order, one per column
+    grid = np.indices((max(hi - lo + 1, 0),) * arity).reshape(arity, -1) + lo
+    tuples = grid[:, np.broadcast_to(domain(grid), grid.shape[1:])].T
     failures, terms, degree = certify(build, tuples)
     res = _result(tag, (tag, span) if span else tag, len(tuples), failures)
     if len(tuples):
@@ -486,11 +489,12 @@ def factorization_check(n_max):
 def theta_v_check(n_max):
     """theta(v_n) is the prime p exactly when n = 2 p^m, and 1 otherwise.
 
-    v_n is not built.  Evaluation at 0 and the degree turn u_n = prod over
+    Neither v_n nor any u_d is built.  Evaluation at 0 and the degree turn u_n = prod over
     d | n of v_d into a product and a sum, and Moebius inversion gives
     v_n(0) = prod over d | n of u_d(0)^mu(n/d) and
     deg v_n = sum over d | n of mu(n/d) deg u_d (every u_d(0) is +-1 or
-    +-(d/2), never 0).  An n fails if that product is not an integer, if
+    +-(d/2), never 0), with u_d(0) and deg u_d read off the closed form by
+    u_constant_and_degree.  An n fails if that product is not an integer, if
     deg v_n is not phi(n)/2 for n >= 3, or if (-1)^deg v_n(0) is not
     prime_power_class(n).
 
@@ -505,9 +509,9 @@ def theta_v_check(n_max):
         for d in _divisors(n):
             mu = _mobius(n // d)
             if mu:
-                u = u_poly(d)
-                c *= Fraction(u.constant()) ** mu
-                deg += mu * u.degree
+                u0, u_deg = u_constant_and_degree(d)
+                c *= Fraction(u0) ** mu
+                deg += mu * u_deg
         if (c.denominator != 1 or (n >= 3 and 2 * deg != euler_phi(n))
                 or _sign(deg) * c.numerator != prime_power_class(n)):
             failures.append(n)

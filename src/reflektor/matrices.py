@@ -15,12 +15,15 @@ from .upoly import UPoly, ring_pow
 
 
 class SquareMat:
-    __slots__ = ("rows", "one", "zero")
+    # form: None, or (field, integer form) kept by engine._form; rows never
+    # change once built, so a form stays valid for the life of the matrix
+    __slots__ = ("rows", "one", "zero", "form")
 
     def __init__(self, rows, one, zero):
         self.rows = tuple(tuple(r) for r in rows)
         self.one = one
         self.zero = zero
+        self.form = None
 
     @property
     def n(self):

@@ -3,6 +3,8 @@
 Terms map exponent 4-tuples to nonzero ints; an MPoly mixes with ints only,
 and any other scalar operand raises TypeError.  Ring ops and a fraction-free
 pseudo-remainder (for the conditional factorizations) are all it needs.
+Nothing changes .terms once a constructor has returned, so a sum or product
+with a zero or constant operand may hand back the other operand itself.
 """
 
 from .upoly import ring_pow
@@ -39,6 +41,23 @@ class MPoly:
     def is_zero(self):
         return not self.terms
 
+    def _constant(self):
+        """The int this polynomial equals, or None if it is not constant."""
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1:
+            return self.terms.get((0, 0, 0, 0))
+        return None
+
+    def _scaled(self, c):
+        if c == 0:
+            return MPoly()
+        if c == 1:
+            return self
+        p = MPoly()
+        p.terms = {e: k * c for e, k in self.terms.items()}
+        return p
+
     def __eq__(self, other):
         if isinstance(other, int):
             other = MPoly.const(other)
@@ -64,6 +83,10 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
@@ -90,13 +113,15 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return MPoly()
-            p = MPoly()
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
+            return self._scaled(other)
         if not isinstance(other, MPoly):
             return NotImplemented
+        c = other._constant()
+        if c is not None:
+            return self._scaled(c)
+        c = self._constant()
+        if c is not None:
+            return other._scaled(c)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -154,18 +179,26 @@ GAMMA = L * M
 
 
 def prem(f, g, var):
-    """A fraction-free pseudo-remainder of f by g with respect to var.
-    Vanishing pseudo-remainder certifies divisibility when g is primitive
-    (content-free) in var."""
-    dg = g.degree_in(var)
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    lc_g = g.coeffs_in(var)[dg]
-    r = f
-    while True:
-        dr = r.degree_in(var)
-        if dr < dg:
-            return r
-        lc_r = r.coeffs_in(var)[dr]
-        shift = MPoly.var(var) ** (dr - dg)
-        r = lc_g * r - lc_r * shift * g
+    """The pseudo-remainder of f by a g = g1 var + g0 linear in var:
+    with f = sum f_i var^i of degree D >= 1 it is
+    g1^D f(-g0/g1) = sum f_i (-g0)^i g1^(D-i), taken by Horner's rule, and
+    for D < 1 it is f.  That is lc(g)^(D - deg g + 1) f mod g, sympy's prem
+    (Knuth, TAOCP vol. 2, 4.6.1).  A g of any other degree in var raises
+    ValueError.
+
+    For g primitive in var (gcd(g1, g0) = 1) the result is zero exactly
+    when g divides f: g1^D f = q g + prem, so g | f gives prem = 0; and if
+    prem = 0, g divides g1^D f while g and g1 have no common factor (one
+    would lie in the coefficient ring and divide the content of g), so g
+    divides f by Gauss's lemma."""
+    if g.degree_in(var) != 1:
+        raise ValueError("prem needs a divisor linear in the variable")
+    g0, g1 = g.coeffs_in(var)
+    fs = f.coeffs_in(var)
+    if len(fs) < 2:
+        return f
+    r, g1_pow, neg_g0 = fs[-1], MPoly.const(1), -g0
+    for fi in reversed(fs[:-1]):
+        g1_pow = g1_pow * g1
+        r = r * neg_g0 + fi * g1_pow
+    return r

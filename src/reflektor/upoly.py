@@ -13,6 +13,7 @@ factors.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 
 def _const(c):
@@ -215,6 +216,21 @@ def u_poly(n):
         b = b * (a - 2 * k) * (a - 2 * k - 1) // ((k + 1) * (a - k))
         cs[m - 1 - k] = b if k % 2 else -b
     return UPoly(cs)
+
+
+def u_constant_and_degree(n):
+    """(u_n(0), deg u_n) off u_poly's closed binomial form, without building
+    u_n: the constant term is the k = m coefficient (-1)^m C(a-m, m), which
+    is +-1 for odd n and +-n/2 for even n, and the degree is m.  u_0 = 0
+    gives (0, -1)."""
+    if n < 0:
+        c, deg = u_constant_and_degree(-n)
+        return -c, deg
+    if n == 0:
+        return 0, -1
+    a = n - 1
+    m = a // 2
+    return (-1) ** m * comb(a - m, m), m
 
 
 def _divisors(n):

@@ -501,3 +501,21 @@ def test_monomial_groups_agree_on_both_paths(conductor, n, data):
         m.setattr(engine, "_BYTES_AFTER", 0)
         m.setattr(engine, "_BYTES_RATIO", 0)
         assert _outcome(gens, 10 ** 6) == points
+
+
+def test_word_functions_build_each_form_once(monkeypatch):
+    # check_relation reads a generator set's forms once, however many
+    # relations it checks; element_order and scalar_power_check share t's
+    built = []
+    real = engine.regular_rep
+    monkeypatch.setattr(engine, "regular_rep",
+                        lambda rows, *a, **k: built.append(rows)
+                        or real(rows, *a, **k))
+    rep = preset("h3_coxeter")
+    assert check_relation(rep.gens, [1, 3], 5)
+    assert check_relation(rep.gens, [1, 2], 3)
+    assert not check_relation(rep.gens, [1, 2, 3], 5)
+    t = rep.word([1, 2, 3])
+    assert element_order(t) == 10
+    assert scalar_power_check(t, 5) == -1
+    assert built == [g.rows for g in rep.gens] + [t.rows]

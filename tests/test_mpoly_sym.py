@@ -142,3 +142,13 @@ def test_section2_case_order_digest():
     assert len(cases) == 394
     assert hashlib.sha256(repr(cases).encode()).hexdigest() == (
         "b1d68183a74186dbccbea7544635439de88a3f816e7272175953ae8fc406a0b1")
+
+
+def test_prem_needs_a_divisor_linear_in_the_variable():
+    f = (L + M + GAMMA) * (ALPHA * M + BETA)
+    for g in (M * M + L, ALPHA + L, MPoly()):
+        with pytest.raises(ValueError):
+            prem(f, g, 3)
+    # below the divisor's degree, f is its own pseudo-remainder
+    assert prem(ALPHA + L, L + M + GAMMA, 3) == ALPHA + L
+    assert prem(MPoly(), L + M + GAMMA, 3).is_zero()

@@ -471,6 +471,42 @@ def test_symbolic_coefficients_stay_ints():
     assert all(type(c) is int for c in coeffs)
 
 
+# -- MPoly sums and products: the fast paths against the term loop ------
+
+def _term_loop(a, b, mul):
+    """The terms of a * b or a + b, one pair or one term at a time."""
+    if mul:
+        items = [(tuple(map(operator.add, e1, e2)), c1 * c2)
+                 for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()]
+    else:
+        items = list(a.terms.items()) + list(b.terms.items())
+    out = {}
+    for e, c in items:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+exponents = st.tuples(*[st.integers(0, 2)] * 4)
+mpolys = st.one_of(
+    st.just(MPoly()),
+    st.integers(-3, 3).map(MPoly.const),
+    st.dictionaries(exponents, st.integers(-4, 4), max_size=5).map(MPoly),
+    # one term that is not a constant
+    st.tuples(exponents.filter(any), st.integers(-4, 4).filter(bool))
+    .map(lambda t: MPoly({t[0]: t[1]})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mpolys, st.one_of(mpolys, st.integers(-3, 3)), st.booleans())
+def test_mpoly_fast_paths_match_the_term_loop(a, b, mul):
+    before = dict(a.terms), dict(getattr(b, "terms", {}))
+    got = a * b if mul else a + b
+    assert got.terms == _term_loop(a, MPoly.const(b) if isinstance(b, int)
+                                   else b, mul)
+    assert (a.terms, getattr(b, "terms", {})) == before
+    assert (b * a if mul else b + a) == got
+
+
 # -- closure kernel: R(g) @ batch against Python ints ---------------------
 
 INT64_MAX = (1 << 63) - 1

@@ -80,3 +80,34 @@ def test_galois_norm_is_the_resultant_with_phi(n):
         res = int(sympy.resultant(phi, a))
         got = galois_norm(CycloElem(ctx, vec, den))
         assert got == Fraction(res, den ** d), vec
+
+
+# -- mpoly.prem against sympy's pseudo-remainder -------------------------
+
+from reflektor.mpoly import ALPHA, BETA, GAMMA, L, M, MPoly, prem  # noqa: E402
+from reflektor.reflrep import delta  # noqa: E402
+
+# m first: sympy's prem of multivariate Polys is in the first generator
+_M_FIRST = (SYMS[3],) + SYMS[:3]
+
+
+def _poly_in_m(p):
+    return sympy.Poly.from_dict({(e[3], e[0], e[1], e[2]): c
+                                 for e, c in p.terms.items()} or {(0,) * 4: 0},
+                                _M_FIRST, domain="ZZ")
+
+
+@pytest.mark.parametrize("degree", range(21))
+def test_prem_matches_sympy(degree):
+    """The three divisors of the Section-2 checks, each linear in m, on a
+    random f of degree `degree` in m, and on f times the divisor, whose
+    pseudo-remainder is 0."""
+    rng = random.Random(degree)
+    f = MPoly({(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2),
+                rng.randint(0, degree)): rng.randint(-5, 5)
+               for _ in range(4)}) + M ** degree
+    for g in (delta(ALPHA, BETA, L, M), ALPHA * L - BETA * M, GAMMA + L + M):
+        for h in (f, f * g):
+            ours = prem(h, g, 3)
+            assert _poly_in_m(ours) == _poly_in_m(h).prem(_poly_in_m(g))
+            assert ours.is_zero() == (h is not f)

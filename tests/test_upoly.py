@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
-from reflektor.upoly import (UPoly, X, u_poly, v_poly, n_prime, theta,
-                             prime_power_class, cyclotomic_poly, euler_phi,
-                             format_poly)
+from reflektor.upoly import (UPoly, X, u_poly, u_constant_and_degree, v_poly,
+                             n_prime, theta, prime_power_class,
+                             cyclotomic_poly, euler_phi, format_poly)
 
 # first few members of the family, from the defining sums
 SMALL_U = {
@@ -152,3 +152,9 @@ def test_format_poly():
     assert format_poly(UPoly([Fraction(1, 2), 1])) == "X + 1/2"
     assert format_poly(UPoly([Fraction(2), Fraction(-3, 2), Fraction(1)])) \
         == "X^2 - 3/2*X + 2"
+
+
+def test_constant_and_degree_read_off_the_closed_form():
+    for n in range(-500, 501):
+        assert u_constant_and_degree(n) == (u_poly(n).constant(),
+                                            u_poly(n).degree), n
