@@ -26,18 +26,21 @@ every integer k, with a_k = t^k - t^-k (so u_0 = 0 and u_-k = -u_k):
 
 So every value is a Laurent numerator with a few terms over
 (t - 1/t)^a (t + 1/t)^b, with t^2 - t^-2 = (t - 1/t)(t + 1/t) and a, b
-negative for the factors of X and 4 - X.  A sum brings both numerators to
-the larger exponents by multiplying with t - 1/t or t + 1/t; a product
-multiplies numerators term by term, with no like terms merged on the way.
-Z[t, 1/t] is a domain, so lhs - rhs brought over one common nonzero
-denominator is zero exactly when its numerator is: a tuple passes when,
-for every pair, the coefficients of each exponent sum to 0.
+negative for the factors of X and 4 - X.  A numerator is an `MPoly`, the
+sparse ring of Section 2, with exponents of either sign and Python-int
+coefficients, so it is exact with no bound and like terms merge as they
+meet.  A sum brings both numerators to the larger exponents by
+multiplying with t - 1/t or t + 1/t; a product multiplies numerators.
+Z[t, 1/t] is a domain, so lhs = rhs exactly when both numerators, lifted
+to their common nonzero denominator, are equal.
 
 Classes.  `certify` decides each class of index tuples mod 4 once.  In
 the class with residues r_i, write n_i = r_i + 4 q_i and T_i = t^(q_i).
 An index that a builder forms from the n_i with + -, unary minus and int
 factors is affine, c + b_1 q_1 + ..., and t to that index is the monomial
 t^c T_1^b_1 ...; `_Affine` holds the exponent vector (c, b_1, ...).
+An `MPoly` exponent has four components, so a builder of arity 4 or more
+raises ValueError rather than lose an index.
 k % m is an int and k // m affine when m divides every b_i, so the
 parity of every index, and with it the shape and sign of each closed
 form, is fixed in a class: `_sign`, `(r.x if n % 2 == 0 else 1)` and
@@ -45,21 +48,12 @@ form, is fixed in a class: `_sign`, `(r.x if n % 2 == 0 else 1)` and
 the q_i raises TypeError: k % 8 of 4 q, comparisons, abs, truth tests,
 2 ** k, a product of two indices and an index used as a coefficient.
 Specialising T_i = t^(q_i) is a ring map Z[t^+-, T_1^+-, ...] ->
-Z[t^+-] that takes the class's numerator of lhs - rhs to each tuple's,
-so a class whose numerator is 0 holds for every integer q_i.  That
-covers more than the admissible tuples in range: C6_16 is proved for
-negative odd p too.  A class whose numerator is not 0, or whose builder
-raises TypeError (it branches on abs, say), is decided tuple by tuple, on
-Python-int indices, through the same ring; that lists its failing
-tuples.
-
-Every value carries a bound on the sum of the absolute values of its
-coefficients: + adds bounds, * multiplies them, and a factor t +- 1/t
-doubles one.  That sum bounds every coefficient and every partial sum of
-like terms, so the coefficients are int64 while the bound is below 2^62
-and Python ints (object arrays) from there on, and nothing wraps.
-Indices are refused from 2^32 in absolute value on, so the exponents of
-t on the tuple path stay far inside int64.
+Z[t^+-] that takes the class's numerators to each tuple's, so a class
+whose numerators agree holds for every integer q_i.  That covers more
+than the admissible tuples in range: C6_16 is proved for negative odd p
+too.  A class whose numerators differ, or whose builder raises TypeError
+(it branches on abs, say), is decided tuple by tuple, on Python-int
+indices, through the same ring; that lists its failing tuples.
 
 The recurrence tag AR is the step-2 form u_{n+4} = (X-2) u_{n+2} - u_n,
 which is the one the family actually satisfies for every integer n.
@@ -70,6 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .mpoly import MPoly, NVARS
 from .report import SuiteResult
 from .upoly import (UPoly, ring_pow, u_poly, v_poly, u_constant_and_degree,
                     prime_power_class, n_prime, euler_phi, _divisors,
@@ -79,11 +74,9 @@ FOUR_MINUS_X = UPoly([4, -1])
 
 Ring = namedtuple("Ring", "u x y uy zero")
 
-# indices are below this in absolute value, so the exponents of t on the
-# tuple path stay far inside int64
+# certify refuses indices from here on in absolute value: they come in as
+# an int64 array, and this keeps them far from wrapping
 _IDX_MAX = 1 << 32
-# coefficients are int64 while a value's bound is below this
-_INT64_BOUND = 1 << 62
 
 
 class _Affine:
@@ -153,65 +146,50 @@ def _class_of(r):
                  for i, ri in enumerate(r))
 
 
-def _coeffs(c, bound):
-    """c as int64 while bound is below _INT64_BOUND, else as Python ints;
-    Python ints stay Python ints whatever the bound."""
-    c = np.asarray(c)
-    if bound < _INT64_BOUND and c.dtype != object:
-        return c.astype(np.int64, copy=False)
-    return c.astype(object)
+def _pm(k, s):
+    """t^k + s t^-k as an MPoly numerator: the exponent vector of k padded
+    with zeros to the four components of an MPoly exponent.  A k with more
+    than three class indices raises ValueError."""
+    v = k.v if isinstance(k, _Affine) else (k,)
+    if len(v) > NVARS:
+        raise ValueError("a Laurent numerator holds at most %d class "
+                         "indices" % (NVARS - 1))
+    pad = (0,) * (NVARS - len(v))
+    terms = {v + pad: 1}
+    neg = tuple(-x for x in v) + pad
+    terms[neg] = terms.get(neg, 0) + s
+    return MPoly(terms)
 
 
-def _widen(e, d):
-    # exponent vectors with zeros appended up to d components: a value
-    # with no class index in it carries only the exponent of t
-    if e.shape[1] == d:
-        return e
-    wide = np.zeros((len(e), d), dtype=np.int64)
-    wide[:, :e.shape[1]] = e
-    return wide
+# t - 1/t and t + 1/t, the factors of a denominator
+_T_MINUS, _T_PLUS = _pm(1, -1), _pm(1, 1)
 
 
 class _Laurent:
-    """num / ((t - 1/t)^a (t + 1/t)^b).  num has the terms c_j t^(e_j):
-    e is a (terms, d) array of exponent vectors, (c, b_1, ...) for
-    t^c T_1^b_1 ... on class indices and (c,) on ints, and c the
-    coefficients; a and b are ints; bound is at least the sum of |c|."""
-    __slots__ = ("e", "c", "a", "b", "bound")
-    __array_ufunc__ = None
+    """num / ((t - 1/t)^a (t + 1/t)^b) with num an MPoly whose exponent
+    (c, b_1, b_2, 0) stands for t^c T_1^b_1 T_2^b_2 on class indices, and
+    (c, 0, 0, 0) for t^c on ints; a and b are ints."""
+    __slots__ = ("num", "a", "b")
 
-    def __init__(self, e, c, a, b, bound):
-        self.e, self.c, self.a, self.b, self.bound = e, c, a, b, bound
+    def __init__(self, num, a, b):
+        self.num, self.a, self.b = num, a, b
 
     def _over(self, a, b):
-        # the same value over (t - 1/t)^a (t + 1/t)^b: num times
-        # t + s/t, with s = -1 a - self.a times and s = 1 b - self.b times
-        e, c, bound = self.e, self.c, self.bound
-        for s in [-1] * (a - self.a) + [1] * (b - self.b):
-            bound *= 2
-            c = _coeffs(c, bound)
-            n = len(e)
-            e = np.concatenate([e, e])
-            e[:n, 0] += 1
-            e[n:, 0] -= 1
-            c = np.concatenate([c, s * c])
-        return _Laurent(e, c, a, b, bound)
+        # the numerator of the same value over (t - 1/t)^a (t + 1/t)^b
+        num = self.num
+        for f in [_T_MINUS] * (a - self.a) + [_T_PLUS] * (b - self.b):
+            num = num * f
+        return num
 
     def __add__(self, other):
         other = _laurent(other)
         a, b = max(self.a, other.a), max(self.b, other.b)
-        p, q = self._over(a, b), other._over(a, b)
-        bound = p.bound + q.bound
-        d = max(p.e.shape[1], q.e.shape[1])
-        return _Laurent(np.concatenate([_widen(p.e, d), _widen(q.e, d)]),
-                        np.concatenate([_coeffs(p.c, bound),
-                                        _coeffs(q.c, bound)]),
-                        a, b, bound)
+        return _Laurent(self._over(a, b) + other._over(a, b), a, b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _Laurent(self.e, -self.c, self.a, self.b, self.bound)
+        return _Laurent(-self.num, self.a, self.b)
 
     def __sub__(self, other):
         return self + -_laurent(other)
@@ -221,20 +199,13 @@ class _Laurent:
 
     def __mul__(self, other):
         other = _laurent(other)
-        bound = self.bound * other.bound
-        d = max(self.e.shape[1], other.e.shape[1])
-        e = _widen(self.e, d)[:, None] + _widen(other.e, d)[None]
-        c = np.multiply.outer(_coeffs(self.c, bound), _coeffs(other.c, bound))
-        return _Laurent(e.reshape(-1, d), c.ravel(),
-                        self.a + other.a, self.b + other.b, bound)
+        return _Laurent(self.num * other.num,
+                        self.a + other.a, self.b + other.b)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         return ring_pow(self, n, _laurent(1))
-
-
-_E0 = np.zeros((1, 1), dtype=np.int64)
 
 
 def _laurent(v):
@@ -243,23 +214,13 @@ def _laurent(v):
     if isinstance(v, _Laurent):
         return v
     if isinstance(v, int):
-        return _Laurent(_E0, _coeffs([v], abs(v)), 0, 0, abs(v))
+        return _Laurent(MPoly.const(v), 0, 0)
     raise TypeError("no Laurent value for %r" % (v,))
-
-
-_PLUS_MINUS = np.array([1, -1], dtype=np.int64)
-_PLUS_PLUS = np.array([1, 1], dtype=np.int64)
-
-
-def _pm(k):
-    # the exponent vectors of t^k and t^-k
-    v = k.v if isinstance(k, _Affine) else (k,)
-    return np.array([v, [-x for x in v]], dtype=np.int64)
 
 
 def _u(k):
     # a_k / (t - 1/t), times 1 / (t + 1/t) for even k
-    return _Laurent(_pm(k), _PLUS_MINUS, 1, 1 - k % 2, 2)
+    return _Laurent(_pm(k, -1), 1, 1 - k % 2)
 
 
 def _uy(k):
@@ -268,15 +229,12 @@ def _uy(k):
     odd = k % 2
     s = 1 - 2 * ((k - odd) // 2 % 2)
     if odd:
-        return _Laurent(_pm(k), s * _PLUS_PLUS, 0, 1, 2)
-    return _Laurent(_pm(k), -s * _PLUS_MINUS, 1, 1, 2)
+        return _Laurent(s * _pm(k, 1), 0, 1)
+    return _Laurent(-s * _pm(k, -1), 1, 1)
 
 
-LAURENT = Ring(_u,
-               _Laurent(_E0, np.ones(1, np.int64), 0, -2, 1),
-               _Laurent(_E0, -np.ones(1, np.int64), -2, 0, 1),
-               _uy,
-               _Laurent(_E0[:0], _E0[0, :0], 0, 0, 0))
+LAURENT = Ring(_u, _Laurent(MPoly.const(1), 0, -2),
+               _Laurent(MPoly.const(-1), -2, 0), _uy, _Laurent(MPoly(), 0, 0))
 
 
 # domains: idx is an index grid whose row i holds the i-th index of every
@@ -389,25 +347,18 @@ def _result(name, label, cases, failures):
 
 def _unequal(pairs):
     """(bad, terms, degree) for the pairs of one tuple or class: bad when
-    some lhs - rhs, over a common denominator, has a coefficient that does
-    not sum to 0; terms is the most terms of one numerator, and degree the
-    largest |component| of an exponent vector in them.  The terms are
-    sorted by exponent vector, and like terms summed by one reduceat."""
+    some lhs and rhs, lifted to their common denominator, have different
+    numerators; terms is the most terms of one compared numerator, and
+    degree the largest |component| of an exponent in them."""
     bad, terms, degree = False, 0, 0
     for lhs, rhs in pairs:
-        diff = _laurent(lhs) - rhs
-        e, n = diff.e, len(diff.c)
-        if not n:
-            continue
-        terms = max(terms, n)
-        degree = max(degree, int(np.abs(e).max()))
-        order = np.lexsort(e.T)
-        e = e[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = (e[1:] != e[:-1]).any(axis=1)
-        sums = np.add.reduceat(diff.c[order], np.flatnonzero(first))
-        bad = bad or bool((sums != 0).any())
+        lhs, rhs = _laurent(lhs), _laurent(rhs)
+        a, b = max(lhs.a, rhs.a), max(lhs.b, rhs.b)
+        p, q = lhs._over(a, b), rhs._over(a, b)
+        for num in (p, q):
+            terms = max(terms, len(num.terms))
+            degree = max([degree] + [abs(x) for e in num.terms for x in e])
+        bad = bad or p != q
     return bad, terms, degree
 
 
@@ -445,8 +396,8 @@ def certify(build, tuples):
 def check_identity(tag, lo, hi, span=None):
     """Check one tag for every admissible index tuple with all indices in
     [lo, hi], by `certify`.  The one case is labelled (tag, span), or just
-    tag; its stats record the most terms compared for one tuple or class
-    as laurent_terms and the largest |component| of an exponent vector as
+    tag; its stats record the most terms of one compared numerator as
+    laurent_terms and the largest |component| of an exponent in them as
     laurent_degree."""
     if tag not in IDENTITIES:
         raise KeyError("unknown identity tag %r" % (tag,))

@@ -129,10 +129,14 @@ def check_word(word, count):
 
 def mat_word(mats, word):
     """Product of the generators over the 1-based letters of word, in
-    written order: letter i stands for mats[i - 1]."""
+    written order: letter i stands for mats[i - 1].  It takes len - 1
+    products; the empty word is the identity and a one-letter word the
+    generator itself."""
     check_word(word, len(mats))
-    result = SquareMat.identity(mats[0].n, mats[0].one, mats[0].zero)
-    for i in word:
+    if not word:
+        return SquareMat.identity(mats[0].n, mats[0].one, mats[0].zero)
+    result = mats[word[0] - 1]
+    for i in word[1:]:
         result = result * mats[i - 1]
     return result
 

@@ -1,5 +1,10 @@
 """Sparse polynomials over Z in the four edge constants alpha, beta, l, m.
 
+The same ring holds Section 1's Laurent numerators in t and the class
+variables T_i (`identities`), with exponents of either sign; only
+`coeffs_in` and `prem`, which Section 2 alone calls, need exponents >= 0
+in their variable.
+
 Terms map exponent 4-tuples to nonzero ints; an MPoly mixes with ints only,
 and any other scalar operand raises TypeError.  Ring ops and a fraction-free
 pseudo-remainder (for the conditional factorizations) are all it needs.
@@ -144,7 +149,8 @@ class MPoly:
         return max((e[var] for e in self.terms), default=-1)
 
     def coeffs_in(self, var):
-        """List of MPoly coefficients of var^0, var^1, ... (var cleared)."""
+        """List of MPoly coefficients of var^0, var^1, ... (var cleared);
+        every exponent of var must be >= 0."""
         d = self.degree_in(var)
         out = [MPoly() for _ in range(d + 1)]
         for e, c in self.terms.items():
@@ -161,7 +167,7 @@ class MPoly:
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             body = "*".join(
-                [VAR_NAMES[i] + ("^%d" % e[i] if e[i] > 1 else "")
+                [VAR_NAMES[i] + ("^%d" % e[i] if e[i] != 1 else "")
                  for i in range(NVARS) if e[i]])
             if body:
                 cs = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
@@ -184,7 +190,7 @@ def prem(f, g, var):
     g1^D f(-g0/g1) = sum f_i (-g0)^i g1^(D-i), taken by Horner's rule, and
     for D < 1 it is f.  That is lc(g)^(D - deg g + 1) f mod g, sympy's prem
     (Knuth, TAOCP vol. 2, 4.6.1).  A g of any other degree in var raises
-    ValueError.
+    ValueError; f and g need exponents >= 0 in var.
 
     For g primitive in var (gcd(g1, g0) = 1) the result is zero exactly
     when g divides f: g1^D f = q g + prem, so g | f gives prem = 0; and if

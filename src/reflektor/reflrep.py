@@ -18,7 +18,7 @@ from math import gcd
 
 from .cyclo import field_ctx, named_constant, to_field
 from .matrices import SquareMat, mat_word, pair_C
-from .upoly import v_poly
+
 
 def rank3_edges(alpha, beta, l, m):
     """The fixed rank-3 layout: alpha = k_12 and beta = k_13 with
@@ -104,18 +104,6 @@ class ReflectionRep:
 
     def theta_pair(self):
         return theta_pair(*self.edge_constants())
-
-    def pair_C_order(self, s, t, pmax=60):
-        """(C, order of s t): the order is read off from which v_p vanishes
-        at C; None when no p <= pmax matches (C = 4 means unipotent or
-        worse, so infinite order when s t is not the identity)."""
-        c = pair_C(s, t)
-        if c == 0:
-            return c, 2
-        for p in range(3, pmax + 1):
-            if v_poly(p).eval(c).is_zero():
-                return c, p
-        return c, None
 
 
 # -- preset catalog ----------------------------------------------------

@@ -91,10 +91,12 @@ def test_verify_identities_range_with_no_tuple_for_a_tag(capsys):
                                     "status": "skipped",
                                     "detail": "0 index tuples"}
     assert [c["status"] for c in cases.values()].count("skipped") == 1
-    # the most terms of one lhs - rhs (C5_10 and C5_11), and the largest
-    # |component| of an exponent vector in them, 16: in P7_19, and in C8_21,
-    # C8_22, C10_25 and C10_26, where u_(4n+1) at n = r + 4 q carries T^16
-    assert payload["stats"] == {"laurent_terms": 20, "laurent_degree": 16}
+    # the most terms of one compared numerator, with like terms merged: 8
+    # in P4_even and P4_odd, whose rhs multiplies the 4 terms of
+    # u_(2m+1) - u_(2m-1) or u_(2m+2) - u_(2m) by the 2 of u_n; and the
+    # largest |component| of an exponent in them, 16: in C8_21, C8_22,
+    # C10_25 and C10_26, where u_(4n+1) at n = r + 4 q carries T^16
+    assert payload["stats"] == {"laurent_terms": 8, "laurent_degree": 16}
 
 
 def test_verify_section2_kmax(capsys):

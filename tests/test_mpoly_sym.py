@@ -18,6 +18,13 @@ def test_mpoly_basic_ring_ops():
     assert (ALPHA * 0).is_zero()
 
 
+def test_mpoly_repr_prints_every_exponent_but_1():
+    # Laurent numerators carry negative exponents too
+    assert repr(ALPHA ** 2 * BETA - 3 * L + 1) == "alpha^2*beta - 3*l + 1"
+    assert repr(MPoly({(-1, 0, 2, 0): 1, (1, 0, 0, -2): -2})) == \
+        "-2*alpha*m^-2 + alpha^-1*l^2"
+
+
 def test_mpoly_refuses_rationals():
     # MPoly is a ring over Z: it mixes with ints only
     for make in (lambda: ALPHA * Fraction(1, 2),

@@ -491,6 +491,9 @@ mpolys = st.one_of(
     st.just(MPoly()),
     st.integers(-3, 3).map(MPoly.const),
     st.dictionaries(exponents, st.integers(-4, 4), max_size=5).map(MPoly),
+    # Laurent numerators, as identities builds them
+    st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 4), st.integers(-4, 4),
+                    max_size=5).map(MPoly),
     # one term that is not a constant
     st.tuples(exponents.filter(any), st.integers(-4, 4).filter(bool))
     .map(lambda t: MPoly({t[0]: t[1]})))

@@ -1,15 +1,18 @@
 import hashlib
+from functools import reduce
+from itertools import product
 from math import gcd
 
 import pytest
 
-from reflektor.cyclo import field_ctx, named_constant, root_of_v
+from reflektor.cyclo import field_ctx, named_constant
 from reflektor.reflrep import (ReflectionRep, build_generators, preset,
                                preset_names, rank3_rep, circuit_rep,
                                affine_circuit_rep, gnn3_rep)
 from reflektor.engine import element_order
-from reflektor.matrices import pair_C
+from reflektor.matrices import SquareMat, mat_word, pair_C
 from reflektor.suites import _GROUPS, run_suite
+from reflektor.sympoly import GENS
 
 
 def test_preset_catalog_loads():
@@ -121,14 +124,6 @@ def test_pair_C_rejects_non_reflection():
         pair_C(prod, rep.gens[2])
 
 
-def test_pair_C_order_reads_off_v_root():
-    rep = rank3_rep("t", root_of_v(5, 1), 1, 0, 0, 5)
-    c, order = rep.pair_C_order(rep.gens[0], rep.gens[1])
-    assert order == 5
-    c, order = rep.pair_C_order(rep.gens[1], rep.gens[2])
-    assert order == 2
-
-
 def test_word_is_left_to_right_product():
     rep = preset("h3_coxeter")
     assert rep.word([1, 2]) == rep.gens[0] * rep.gens[1]
@@ -140,6 +135,23 @@ def test_s0_is_a_reflection_in_circuit():
     s0 = rep.word(rep.s0_word())
     assert (s0 * s0).is_identity()
     assert s0.trace() == rep.rank - 2
+
+
+@pytest.mark.parametrize("name", ["h3_coxeter", "sympoly"])
+def test_mat_word_takes_one_product_fewer_than_its_letters(name, monkeypatch):
+    gens = GENS if name == "sympoly" else preset(name).gens
+    one = SquareMat.identity(gens[0].n, gens[0].one, gens[0].zero)
+    folds = {word: reduce(lambda m, i: m * gens[i - 1], word, one)
+             for length in range(5)
+             for word in product(range(1, len(gens) + 1), repeat=length)}
+    calls = []
+    mul = SquareMat.__mul__
+    monkeypatch.setattr(SquareMat, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for word, fold in folds.items():
+        calls.clear()
+        assert mat_word(gens, list(word)) == fold
+        assert len(calls) == max(len(word) - 1, 0)
 
 
 def test_parameterized_names():
