@@ -119,8 +119,11 @@ def cmd_verify(args):
         print("verify: need a target or --all", file=sys.stderr)
         return 2
     elif args.target == "identities":
-        lo, hi = args.range
-        reports = [timed(check_all_identities, lo, hi, "%d..%d" % (lo, hi))]
+        try:
+            reports = [timed(check_all_identities, *args.range,
+                             "%d..%d" % args.range)]
+        except ValueError as exc:
+            return _bad_input("verify", exc)
     elif args.target == "roots":
         reports = [timed(root_identity_suite, args.max_r)]
     elif args.target == "classification":

@@ -22,23 +22,20 @@ The scalar kernel:
   and Krylov columns of characteristic polynomials are longer dots;
 - one fraction-free elimination (Bareiss 1968) inverts elements, finds
   power-basis coordinates and takes norms: N(x) is the determinant of the
-  integer matrix of multiplication by den * x, over den^d;
-- the root identities are decided on images mod p (ModPMap): one prime
-  p = 1 mod N above 2B per field, where B = 16 hi^2 + 16 hi bounds every
-  side in every embedding because |u_n| <= |n| on [0, 4], one int64 table
-  of u_0 .. u_hi at the phi(N) images of the root, and one array
-  comparison per check family; all images zero means the difference z of
-  the sides is divisible by p, so |N(z)| >= p^phi(N) > (2B)^phi(N) unless
-  z = 0 (root_identity_suite has the proof).
+  integer matrix of multiplication by den * x, over den^d.
+
+The root identities are builders like the identity catalog's, decided by
+identities.certify once per class mod 4 of their indices modulo t^r = -1,
+and in the field itself only where a class fails (root_identity_suite).
 """
 
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-import numpy as np
-
 from .matrices import SquareMat
+from .identities import certify
+from .mpoly import MPoly
 from .report import SuiteResult
 from .upoly import (UPoly, cyclotomic_poly, euler_phi, _factorize,
                     format_poly, n_prime, prime_power_class, ring_pow)
@@ -514,121 +511,102 @@ def _coprime_ks(r):
     return [k for k in range(1, (r + 1) // 2) if gcd(k, r) == 1]
 
 
-def _root_image(n, hi):
-    """The map mod p for the root checks in Q(zeta_n) whose u table runs to
-    index hi: every side is bounded by B = 16 hi^2 + 16 hi in every
-    embedding (root_identity_suite), so p must exceed 2B."""
-    bound = 16 * hi * hi + 16 * hi
-    image = ModPMap(n, above=2 * bound + 1)
-    if image.p <= 2 * bound:
-        raise ArithmeticError("p = %d does not exceed 2B = %d"
-                              % (image.p, 2 * bound))
-    return image
+def _even_weight(R, r):
+    # the weight of the even rungs at even r: 4 - g, times g when r/2 is even
+    return R.y if r // 2 % 2 else R.x * R.y
 
 
-def _conjugates(image):
-    """zeta_N + zeta_N^-1 under the phi(N) maps zeta_N -> w^m, m a unit
-    mod N, as residues mod p: int64 below 2^31, where a product of two
-    residues fits, and Python ints from there on."""
-    n, p, w = image.M, image.p, image.w
-    return np.array([(pow(w, m, p) + pow(w, n - m, p)) % p
-                     for m in range(1, n) if gcd(m, n) == 1],
-                    np.int64 if p < 1 << 31 else object)
+def _period(l):
+    return lambda R, r, kk: [(R.u(l * r + kk), (-1) ** l * R.u(kk))]
 
 
-def _u_images(x, hi, p):
-    """Row n holds u_n at every entry of x, mod p, for n = 0 .. hi, by the
-    recurrence of u_value_seq."""
-    t = np.zeros((hi + 1, len(x)), x.dtype)
-    t[1] = 1
-    for k in range(1, hi):
-        t[k + 1] = ((x * t[k] if k % 2 == 0 else t[k]) - t[k - 1]) % p
-    return t
+# The checks at the roots of v_r, as builders like identities.IDENTITIES on
+# index tuples (r, kk), (r, l) or (r,), where R.x is X = (t + 1/t)^2 and
+# R.s is t + 1/t.  Even r: X is the root g and R.y is w = 4 - g.  Odd r: X
+# is the root s^2 with s = e (t + 1/t), and e s = t + 1/t.
+ROOT_IDENTITIES = {
+    "mirror": lambda R, r, kk: [(R.u(r - kk), R.u(kk))],
+    **{"period:%d" % l: _period(l) for l in range(4)},
+    "top+": lambda R, r: [(R.u(r - 1), 1)],
+    "top-": lambda R, r: [(R.u(r + 1), -1)],
+    "ladder": lambda R, r, kk: [
+        ((R.y if kk % 2 else _even_weight(R, r)) * R.u(r // 2)
+         * R.u(r // 2 - kk), 2 * (R.u(kk + 1) - R.u(kk - 1)))],
+    "norm4": lambda R, r: [(_even_weight(R, r) * R.u(r // 2) ** 2, 4)],
+    "norm2": lambda R, r: [(R.y * R.u(r // 2) * R.u(r // 2 - 1), 2)],
+    "odd_step": lambda R, r, kk: [
+        (R.u(r - 2 * kk - 1), R.u(2 * kk + 1) * R.u(r - 1))],
+    "even_step": lambda R, r, kk: [
+        (R.u(r - 2 * kk - 2), R.x * R.u(2 * kk + 2) * R.u(r - 1))],
+    "sqrt_sign": lambda R, r: [(R.s * R.u(r - 1), 1)],
+    "half_e": lambda R, r, l: [
+        (R.u((r - 1) // 2 - 2 * l),
+         (R.u(2 * l + 1) - R.s * R.u(2 * l)) * R.u((r - 1) // 2))],
+    # for r = 3 mod 4, half_o is stated times g, which is not 0
+    "half_o": lambda R, r, l: [
+        ((1 if r % 4 == 1 else R.x) * R.u((r - 1) // 2 - 2 * l + 1),
+         (R.x * R.u(2 * l) - R.s * R.u(2 * l - 1)) * R.u((r - 1) // 2))],
+}
 
 
-def _root_checks(g, hi, p):
-    """u, which reads u_n(g) mod p off one table, for an index or an array
-    of them (u_-n = -u_n); and eq, which compares two sides mod p at every
-    conjugate, one status per index.  A side is at most a product of two
-    residues, which fits int64 below p = 2^31."""
-    t = _u_images(g, hi, p)
-
-    def u(n):
-        n = np.asarray(n)
-        return t[abs(n)] * np.sign(n)[..., None] % p
-
-    def eq(lhs, rhs):
-        ok = (lhs % p == rhs % p).all(axis=-1)
-        return np.where(ok, "pass", "fail").tolist()
-
-    return u, eq
-
-
-def _even_verdicts(r, image, hi):
-    """(case id suffix, status) for the checks at the roots of v_r, r =
-    2 half even, in case order.  Every root of v_r is a conjugate of every
-    other, so one verdict serves them all."""
-    half, p = r // 2, image.p
-    x = _conjugates(image)
-    g = (x + 2) % p
-    u, eq = _root_checks(g, hi, p)
-    kk = np.arange(half + 1)
-    out = [(":mirror:%d" % i, v)
-           for i, v in enumerate(eq(u(r - kk), u(kk)))]
-    kk = np.arange(half)
+def _even_cases(r):
+    """(case id suffix, family, index tuple) of the checks at the roots of
+    v_r, r = 2 half even, in case order."""
+    half = r // 2
+    out = [(":mirror:%d" % i, "mirror", (r, i)) for i in range(half + 1)]
     for l in range(4):
-        e = 1 if l % 2 == 0 else -1
-        out += [(":period:%d:%d" % (l, i), v)
-                for i, v in enumerate(eq(u(l * r + kk), e * u(kk)))]
-    out.append((":top+", eq(u(r - 1), 1)))
-    out.append((":top-", eq(u(r + 1), -1)))
-    w = (4 - g) % p
-    # the weight of the even rungs: g w when half is even
-    w0 = w if half % 2 else g * w % p
-    kk = np.arange(half + half % 2)
-    wt = np.where((kk % 2 == 1)[:, None], w, w0)
-    ladder = eq(wt * u(half) % p * u(half - kk), 2 * (u(kk + 1) - u(kk - 1)))
-    for i, v in enumerate(ladder):
+        out += [(":period:%d:%d" % (l, i), "period:%d" % l, (r, i))
+                for i in range(half)]
+    out += [(":top+", "top+", (r,)), (":top-", "top-", (r,))]
+    for i in range(half + half % 2):
         out.append((":ladder:%d" % i if half % 2 else
-                    ":ladder_%s:%d" % ("eo"[i % 2], i // 2), v))
-    out.append((":norm4", eq(w0 * u(half) % p * u(half), 4)))
-    out.append((":norm2", eq(w * u(half) % p * u(half - 1), 2)))
+                    ":ladder_%s:%d" % ("eo"[i % 2], i // 2), "ladder", (r, i)))
+    return out + [(":norm4", "norm4", (r,)), (":norm2", "norm2", (r,))]
+
+
+def _odd_cases(r):
+    """_even_cases for odd r."""
+    out = []
+    for i in range((r - 1) // 2):
+        out += [(":odd_step:%d" % i, "odd_step", (r, i)),
+                (":even_step:%d" % i, "even_step", (r, i))]
+    out.append((":sqrt_sign", "sqrt_sign", (r,)))
+    lmax = (r - 1) // 4 if r % 4 == 1 else (r - 3) // 8
+    for i in range(lmax + 1):
+        out += [(":half_e:%d" % i, "half_e", (r, i)),
+                (":half_o:%d" % i, "half_o", (r, i))]
     return out
 
 
-def _odd_verdicts(r, image, hi):
-    """{e: [(case id suffix, status)]} for the checks at the roots k of
-    v_r, r odd, with (-1)^(k-1) = e, in case order.  The square roots s of
-    those roots are e times the conjugates of zeta_2r + zeta_2r^-1: for
-    even k, zeta_2r^k = -zeta_2r^(k+r) and k + r is a unit mod 2r."""
-    h, p = (r - 1) // 2, image.p
-    x = _conjugates(image)
-    g = x * x % p
-    u, eq = _root_checks(g, hi, p)
-    kk = np.arange(h)
-    ur = u(r - 1)
-    odd = eq(u(r - (2 * kk + 1)), u(2 * kk + 1) * ur)
-    even = eq(u(r - (2 * kk + 2)), g * u(2 * kk + 2) % p * ur)
-    steps = []
-    for i in range(h):
-        steps += [(":odd_step:%d" % i, odd[i]), (":even_step:%d" % i, even[i])]
-    # for r = 3 mod 4, half_o is stated times s, which is not 0
-    lmax, wt = ((r - 1) // 4, 1) if r % 4 == 1 else ((r - 3) // 8, g)
-    l = np.arange(lmax + 1)
-    uh = u(h)
-    verdicts = {}
-    for e in (1, -1):
-        s = e * x % p
-        es = e * s % p
-        half_e = eq(u(h - 2 * l), (u(2 * l + 1) - es * u(2 * l) % p) * uh)
-        half_o = eq(wt * u(h - (2 * l - 1)),
-                    (g * u(2 * l) % p - es * u(2 * l - 1) % p) * uh)
-        out = steps + [(":sqrt_sign", eq(s * ur, e))]
-        for i in range(lmax + 1):
-            out += [(":half_e:%d" % i, half_e[i]),
-                    (":half_o:%d" % i, half_o[i])]
-        verdicts[e] = out
-    return verdicts
+def _mod_t_r(num, r0):
+    """The canonical form of num modulo t^r = -1 on the class r = r0 + 4q,
+    with T_1 = t^q in exponent slot 1: each T_1^e, e = 4a + b and
+    0 <= b < 4, written as (-t^-r0)^a T_1^b (identities has why)."""
+    terms = {}
+    for (c, e, e2, e3), k in num.terms.items():
+        a, b = divmod(e, 4)
+        key = (c - a * r0, b, e2, e3)
+        terms[key] = terms.get(key, 0) + (-k if a % 2 else k)
+    return MPoly(terms)
+
+
+def _at_zeta(num, r):
+    """The coefficient vector of num, a numerator in t alone, at
+    t = zeta_2r in Q(zeta_2r)."""
+    vec = [0] * (2 * r)
+    for (c, _, _, _), k in num.terms.items():
+        vec[c % (2 * r)] += k
+    return field_ctx(2 * r).reduce(vec)
+
+
+def _vanishes_at_roots(num, args):
+    """certify's hook for ROOT_IDENTITIES: a difference num of numerators
+    built on (r, ...) vanishes at the roots, on a class when its form
+    modulo t^r = -1 is 0, and on a tuple when it is 0 at t = zeta_2r."""
+    r = args[0]
+    if isinstance(r, int):
+        return not any(_at_zeta(num, r))
+    return _mod_t_r(num, r % 4).is_zero()
 
 
 def root_identity_suite(r_max):
@@ -637,42 +615,35 @@ def root_identity_suite(r_max):
     v_{2p}, the weighted ladder there, and the odd-r ladder including its
     square-root-signed refinement.
 
-    Each check runs on the images of its sides under the phi(N) ring maps
-    Z[zeta_N] -> F_p, zeta_N -> w^m (ModPMap), with N = r for the roots of
-    v_r at even r and N = 2r for the square roots at odd r: one table of
-    u_0 .. u_hi mod p per field, one array comparison per check family.
-    The verdict is exact:
-    - the bound: for x = 4 cos^2 t, u_2m+1(x) = sin((2m+1) t) / sin t and
-      u_2m(x) = sin(2m t) / sin(2t), so |u_n(x)| <= |n| on [0, 4], where
-      every conjugate of a root lies (and every conjugate of its square
-      root in [-2, 2]); each side is a product of at most two u values and
-      a weight of absolute value at most 16 (g (4 - g) <= 4, |s| <= 2), or
-      a sum of such, so every side is an algebraic integer with |sigma(side)|
-      <= B = 16 hi^2 + 16 hi in every embedding sigma, and p > 2B;
-    - zero images mean zero: z = lhs - rhs with all phi(N) images 0 lies
-      in every prime above p, so p | z in Z[zeta_N] (p = 1 mod N does not
-      ramify) and |N(z)| >= p^phi(N) > (2B)^phi(N) >= |N(z)| unless z = 0;
-    - a nonzero image proves the check fails.
-    Every root of a field is a conjugate of the first, so its images are
-    those of the first, permuted: one verdict per field, and at odd r one
-    per sign class (-1)^(k-1) of the square root."""
+    Each check is a builder of ROOT_IDENTITIES on (r, ...), decided by
+    identities.certify with the hook _vanishes_at_roots:
+    - every root of v_r is X = (t + 1/t)^2 at t = zeta_2r^m, m odd and prime
+      to r, so t^r = -1: m = k for the root 4cos^2(k pi / r) at even r; at
+      odd r the root k is the square of s = zeta_2r^k + zeta_2r^-k, which is
+      e (t + 1/t) with m = k, e = 1 for odd k and m = k + r, e = -1 for
+      even k, so e = (-1)^(k-1) and e s = t + 1/t;
+    - a class mod 4 of (r, ...) whose difference is 0 modulo t^r = -1
+      holds at every root of every r in it (identities has the argument);
+    - a tuple whose class fails is decided exactly at t = zeta_2r, and the
+      other roots are its Galois conjugates t -> t^m, under which a zero
+      stays zero: one verdict serves every k and both signs e."""
     res = SuiteResult("root_identities")
-
-    def emit(head, verdicts):
-        for tag, status in verdicts:
-            res.add(head + tag, status)
-
-    for r in range(4, r_max + 1, 2):
-        # the largest index: period 3 at kk = r/2 - 1
-        hi = 7 * (r // 2) - 1
-        verdicts = _even_verdicts(r, _root_image(r, hi), hi)
+    heads = [("even", r, _even_cases(r)) for r in range(4, r_max + 1, 2)]
+    heads += [("odd", r, _odd_cases(r)) for r in range(3, r_max + 1, 2)]
+    tuples = {}
+    for _, _, cases in heads:
+        for _, family, idx in cases:
+            tuples.setdefault(family, []).append(idx)
+    failed = {family: set(certify(ROOT_IDENTITIES[family], idx,
+                                  _vanishes_at_roots)[0])
+              for family, idx in tuples.items()}
+    for parity, r, cases in heads:
+        statuses = [(suffix, "fail" if idx in failed[family] else "pass")
+                    for suffix, family, idx in cases]
         for k in _coprime_ks(r):
-            emit("even:%d:%d" % (r, k), verdicts)
-    for r in range(3, r_max + 1, 2):
-        hi = r - 1
-        verdicts = _odd_verdicts(r, _root_image(2 * r, hi), hi)
-        for k in _coprime_ks(r):
-            emit("odd:%d:%d" % (r, k), verdicts[1 if k % 2 else -1])
+            head = "%s:%d:%d" % (parity, r, k)
+            for suffix, status in statuses:
+                res.add(head + suffix, status)
     return res
 
 

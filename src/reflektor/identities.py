@@ -6,10 +6,11 @@ names used by the verification suites and the CLI; a tag whose source states
 several equivalent expressions checks all of them.
 
 A builder takes the ring it computes in as its first argument, a `Ring`
-record: `u(k)` is u_k, `x` is X, `y` is 4 - X, `uy(k)` is u_k(4 - X) and
-`zero` is 0.  The same builders run in two rings: `UPoly` itself (u_poly,
-X, 4 - X, u_poly(k).compose(4 - X), 0), the slow oracle of the tests, and
-`LAURENT`, where `certify` decides them.
+record: `u(k)` is u_k, `x` is X, `y` is 4 - X, `uy(k)` is u_k(4 - X),
+`zero` is 0 and `s`, where the ring has one, is a square root of X.  The
+same builders run in two rings: `UPoly` itself (u_poly, X, 4 - X,
+u_poly(k).compose(4 - X), 0, no s), the slow oracle of the tests, and
+`LAURENT`, where `certify` decides them, with s = t + 1/t.
 
 The certificate.  Put X = (t + 1/t)^2, which is 4cos^2(s) at t = e^(is).
 X -> t^2 + 2 + t^-2 is an injective ring map Z[X] -> Z[t, 1/t], since a
@@ -55,6 +56,19 @@ too.  A class whose numerators differ, or whose builder raises TypeError
 (it branches on abs, say), is decided tuple by tuple, on Python-int
 indices, through the same ring; that lists its failing tuples.
 
+Relations.  `certify` takes one hook, `vanishes(num, args)`: whether the
+lifted difference num of two unequal numerators built on args is zero
+where the identities are meant to hold.  The catalog holds in the free
+ring, so there it never is.  The root identities of `cyclo` hold at
+t = zeta_2r^m, m odd, for index tuples (r, ...), so where t^r = -1: on the
+class r = r0 + 4q that is T_1^4 = -t^-r0.  Z[t^+-, T_2^+-][T_1] /
+(T_1^4 + t^-r0) is free on 1, T_1, T_1^2, T_1^3, so writing T_1^e with
+e = 4a + b, 0 <= b < 4, as (-t^-r0)^a T_1^b gives a canonical numerator,
+0 exactly when num is 0 there; num then vanishes at every such t, and the
+denominator does not, since t^4 != 1 for r >= 3 makes t -+ 1/t nonzero.
+At odd r a root is s^2 with s = e (t + 1/t), e = +-1, and the identities
+meet s only as e s = t + 1/t, so e cancels and `LAURENT.s` serves both.
+
 The recurrence tag AR is the step-2 form u_{n+4} = (X-2) u_{n+2} - u_n,
 which is the one the family actually satisfies for every integer n.
 """
@@ -72,7 +86,7 @@ from .upoly import (UPoly, ring_pow, u_poly, v_poly, u_constant_and_degree,
 
 FOUR_MINUS_X = UPoly([4, -1])
 
-Ring = namedtuple("Ring", "u x y uy zero")
+Ring = namedtuple("Ring", "u x y uy zero s", defaults=(None,))
 
 # certify refuses indices from here on in absolute value: they come in as
 # an int64 array, and this keeps them far from wrapping
@@ -234,7 +248,8 @@ def _uy(k):
 
 
 LAURENT = Ring(_u, _Laurent(MPoly.const(1), 0, -2),
-               _Laurent(MPoly.const(-1), -2, 0), _uy, _Laurent(MPoly(), 0, 0))
+               _Laurent(MPoly.const(-1), -2, 0), _uy, _Laurent(MPoly(), 0, 0),
+               _Laurent(MPoly.const(1), 0, -1))
 
 
 # domains: idx is an index grid whose row i holds the i-th index of every
@@ -345,11 +360,16 @@ def _result(name, label, cases, failures):
     return res
 
 
-def _unequal(pairs):
-    """(bad, terms, degree) for the pairs of one tuple or class: bad when
-    some lhs and rhs, lifted to their common denominator, have different
-    numerators; terms is the most terms of one compared numerator, and
-    degree the largest |component| of an exponent in them."""
+def _is_zero(num, args):
+    return num.is_zero()
+
+
+def _unequal(pairs, vanishes=_is_zero, args=()):
+    """(bad, terms, degree) for the pairs of one tuple or class, built on
+    args: bad when some lhs and rhs, lifted to their common denominator,
+    have different numerators whose difference does not vanish; terms is
+    the most terms of one compared numerator, and degree the largest
+    |component| of an exponent in them."""
     bad, terms, degree = False, 0, 0
     for lhs, rhs in pairs:
         lhs, rhs = _laurent(lhs), _laurent(rhs)
@@ -358,17 +378,18 @@ def _unequal(pairs):
         for num in (p, q):
             terms = max(terms, len(num.terms))
             degree = max([degree] + [abs(x) for e in num.terms for x in e])
-        bad = bad or p != q
+        bad = bad or p != q and not vanishes(p - q, args)
     return bad, terms, degree
 
 
-def certify(build, tuples):
+def certify(build, tuples, vanishes=_is_zero):
     """(failures, terms, degree) for a builder over index tuples, each
-    pair decided exactly as Laurent polynomials (module docstring).
-    failures lists the tuples with some pair that differs, as tuples of
-    ints in the order given; terms and degree are the largest of
-    `_unequal`'s over the decisions made.  Each class mod 4 is decided
-    once on class indices, and tuple by tuple where that fails."""
+    pair decided exactly as Laurent polynomials (module docstring), where
+    vanishes decides a difference of numerators.  failures lists the
+    tuples with some pair that differs, as tuples of ints in the order
+    given; terms and degree are the largest of `_unequal`'s over the
+    decisions made.  Each class mod 4 is decided once on class indices,
+    and tuple by tuple where that fails."""
     idx = np.asarray(tuples, dtype=np.int64)
     if not idx.size:
         return [], 0, 0
@@ -380,15 +401,17 @@ def certify(build, tuples):
     bad = np.zeros(len(idx), dtype=bool)
     terms = degree = 0
     for code, first in zip(*np.unique(codes, return_index=True)):
+        args = _class_of((idx[first] & 3).tolist())
         try:
-            fails, t, d = _unequal(build(
-                LAURENT, *_class_of((idx[first] & 3).tolist())))
+            fails, t, d = _unequal(build(LAURENT, *args), vanishes, args)
             terms, degree = max(terms, t), max(degree, d)
         except TypeError:
             fails = True
         if fails:
             for row in np.flatnonzero(codes == code):
-                bad[row], t, d = _unequal(build(LAURENT, *idx[row].tolist()))
+                args = idx[row].tolist()
+                bad[row], t, d = _unequal(build(LAURENT, *args), vanishes,
+                                          args)
                 terms, degree = max(terms, t), max(degree, d)
     return [tuple(r) for r in idx[bad].tolist()], terms, degree
 

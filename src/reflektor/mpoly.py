@@ -1,9 +1,9 @@
 """Sparse polynomials over Z in the four edge constants alpha, beta, l, m.
 
 The same ring holds Section 1's Laurent numerators in t and the class
-variables T_i (`identities`), with exponents of either sign; only
-`coeffs_in` and `prem`, which Section 2 alone calls, need exponents >= 0
-in their variable.
+variables T_i (`identities` and `cyclo`), with exponents of either sign;
+only `coeffs_in` and `prem`, which Section 2 alone calls, raise ValueError
+on a negative exponent in their variable.
 
 Terms map exponent 4-tuples to nonzero ints; an MPoly mixes with ints only,
 and any other scalar operand raises TypeError.  Ring ops and a fraction-free
@@ -150,12 +150,14 @@ class MPoly:
 
     def coeffs_in(self, var):
         """List of MPoly coefficients of var^0, var^1, ... (var cleared);
-        every exponent of var must be >= 0."""
+        a negative exponent of var raises ValueError."""
         d = self.degree_in(var)
         out = [MPoly() for _ in range(d + 1)]
         for e, c in self.terms.items():
             rest = list(e)
             k = rest[var]
+            if k < 0:
+                raise ValueError("a negative exponent of %s" % VAR_NAMES[var])
             rest[var] = 0
             out[k].terms[tuple(rest)] = c
         return out
@@ -190,7 +192,7 @@ def prem(f, g, var):
     g1^D f(-g0/g1) = sum f_i (-g0)^i g1^(D-i), taken by Horner's rule, and
     for D < 1 it is f.  That is lc(g)^(D - deg g + 1) f mod g, sympy's prem
     (Knuth, TAOCP vol. 2, 4.6.1).  A g of any other degree in var raises
-    ValueError; f and g need exponents >= 0 in var.
+    ValueError, and so does a negative exponent of var in f or g.
 
     For g primitive in var (gcd(g1, g0) = 1) the result is zero exactly
     when g divides f: g1^D f = q g + prem, so g | f gives prem = 0; and if

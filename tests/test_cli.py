@@ -302,6 +302,7 @@ BAD_INPUT = [
     ["group", "order", "--preset", "atilde:3", "--cap", "-1"],
     ["group", "order", "--preset", "atilde:3", "--cap", "0"],
     ["verify", "roots", "--max-r", "2"],
+    ["verify", "identities", "--range", "4294967296..4294967297"],
     ["verify", "classification", "--bound", "2"],
     ["verify", "section2", "--kmax", "-1"],
 ]

@@ -4,17 +4,16 @@ import operator
 import types
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from reflektor import cyclo
-from reflektor.cyclo import (CycloElem, ModPMap, field_ctx, to_field,
+from reflektor.cyclo import (CycloElem, field_ctx, to_field,
                              root_of_v, sqrt_root, named_constant, galois_norm,
                              power_basis_coords, quad_pow, quad_pow_closed,
                              root_identity_suite, norm_invertibility_suite,
                              quad_power_suite, classification_search,
                              u_value_seq, u_at, _coprime_ks)
-from reflektor.mpoly import ALPHA
+from reflektor.mpoly import ALPHA, MPoly
 from reflektor.report import SuiteResult
 from reflektor.upoly import (UPoly, v_poly, u_poly, euler_phi, n_prime,
                              prime_power_class)
@@ -284,16 +283,19 @@ def _planted(obj, old, new):
     return scope[obj.__name__]
 
 
-@pytest.mark.parametrize("family, plant, oracle_plant, count", [
-    ("top+", ("eq(u(r - 1), 1)", "eq(u(r - 1), 2)"),
+PLANTS = [
+    ("top+", ("[(R.u(r - 1), 1)]", "[(R.u(r - 1), 2)]"),
      ("uu(2 * p - 1) == 1", "uu(2 * p - 1) == 2"), 47),
-    ("ladder", ("2 * (u(kk + 1)", "3 * (u(kk + 1)"),
+    ("ladder", ("2 * (R.u(kk + 1)", "3 * (R.u(kk + 1)"),
      ("2 * (uu(kk + 1)", "3 * (uu(kk + 1)"), 480),
-    ("sqrt_sign", ("eq(s * ur, e)", "eq(s * ur, -e)"),
+    ("sqrt_sign", ("R.s * R.u(r - 1), 1)", "R.s * R.u(r - 1), -1)"),
      ("s * uu(r - 1) == e", "s * uu(r - 1) == -e"), 91),
-    ("even_step", ("g * u(2 * kk + 2) % p * ur", "u(2 * kk + 2) * ur"),
+    ("even_step", ("R.x * R.u(2 * kk + 2)", "R.u(2 * kk + 2)"),
      ("g * uu(2 * kk + 2) * uu(r - 1)", "uu(2 * kk + 2) * uu(r - 1)"), 873),
-])
+]
+
+
+@pytest.mark.parametrize("family, plant, oracle_plant, count", PLANTS)
 def test_planted_false_identities_fail_at_every_root(family, plant,
                                                        oracle_plant, count):
     res = _planted(cyclo, *plant).root_identity_suite(30)
@@ -316,8 +318,8 @@ def _chebyshev(hi):
 
 
 def test_u_at_squares_is_chebyshev():
-    # the bound |u_n| <= |n| on [0, 4] reads off S_k(2 cos t) =
-    # sin((k + 1) t) / sin t
+    # u at c^2 is Chebyshev's S in c, with S_k(2 cos t) =
+    # sin((k + 1) t) / sin t: c u_2m(c^2) = S_2m-1 and u_2m+1(c^2) = S_2m
     c, s = UPoly([0, 1]), _chebyshev(81)
     square = UPoly([0, 0, 1])
     for m in range(41):
@@ -326,45 +328,79 @@ def test_u_at_squares_is_chebyshev():
         assert u_poly(2 * m + 1).compose(square) == s[2 * m]
 
 
-@pytest.mark.parametrize("r_max", [3, 30, 60])
-def test_root_prime_exceeds_twice_the_bound(r_max, monkeypatch):
-    tables = []
-    u_images = cyclo._u_images
+def _spied(mod, monkeypatch):
+    """The t = zeta_2r of every tuple that mod (cyclo or a planted copy)
+    decides in the field, recorded as r."""
+    seen = []
+    at_zeta = mod._at_zeta
 
-    def recorded(x, hi, p):
-        t = u_images(x, hi, p)
-        tables.append((len(t) - 1, p, t.dtype))
-        return t
+    def spy(num, r):
+        seen.append(r)
+        return at_zeta(num, r)
 
-    monkeypatch.setattr(cyclo, "_u_images", recorded)
-    assert root_identity_suite(r_max).passed
-    assert tables
-    # u reads no index past the table, so hi is the largest index of a run
-    for hi, p, dtype in tables:
-        assert p > 2 * (16 * hi * hi + 16 * hi)
-        assert dtype == np.int64
+    monkeypatch.setattr(mod, "_at_zeta", spy)
+    return seen
 
 
-def test_root_prime_is_asserted(monkeypatch):
-    monkeypatch.setattr(cyclo, "ModPMap", lambda n, above: ModPMap(n))
-    with pytest.raises(ArithmeticError, match="does not exceed 2B"):
-        root_identity_suite(3)
+def test_every_root_class_is_proved_to_60(monkeypatch):
+    seen = _spied(cyclo, monkeypatch)
+    res = root_identity_suite(60)
+    assert len(res.records) == 43943 and res.passed
+    assert seen == []
 
 
-def test_root_tables_past_int64_use_python_ints(monkeypatch):
-    want = _cases(root_identity_suite(16))
-    dtypes = set()
-    u_images = cyclo._u_images
+def test_a_broken_relation_falls_back_to_the_field(monkeypatch):
+    # without the rewrite, or with t^r = +1 for -1, classes fail, and the
+    # statuses come from the field, tuple by tuple
+    want = _cases(root_identity_suite(30))
+    monkeypatch.setattr(cyclo, "_mod_t_r", lambda num, r0: num)
+    seen = _spied(cyclo, monkeypatch)
+    assert _cases(root_identity_suite(30)) == want
+    assert seen
+    flipped = _planted(cyclo, "-k if a % 2 else k", "k")
+    seen = _spied(flipped, monkeypatch)
+    assert _cases(flipped.root_identity_suite(30)) == want
+    assert seen
 
-    def recorded(x, hi, p):
-        dtypes.add(x.dtype)
-        return u_images(x, hi, p)
 
-    monkeypatch.setattr(cyclo, "_root_image",
-                        lambda n, hi: ModPMap(n, above=1 << 31))
-    monkeypatch.setattr(cyclo, "_u_images", recorded)
-    assert _cases(root_identity_suite(16)) == want
-    assert dtypes == {np.dtype(object)}
+@pytest.mark.parametrize("family, plant, oracle_plant, count",
+                         [(None, None, None, 0), PLANTS[1], PLANTS[3]])
+def test_the_field_fallback_alone_matches_the_oracle(family, plant,
+                                                     oracle_plant, count,
+                                                     monkeypatch):
+    mod = _planted(cyclo, *plant) if plant else cyclo
+    oracle = (_planted(_root_identity_oracle, *oracle_plant) if oracle_plant
+              else _root_identity_oracle)
+    monkeypatch.setattr(mod, "_mod_t_r", lambda num, r0: num)
+    res = mod.root_identity_suite(20)
+    assert _cases(res) == _cases(oracle(20))
+    assert bool(res.failures) == bool(count)
+
+
+def _at_t(num, r, q, q2):
+    """num with T_1 = t^q and T_2 = t^q2, at t = zeta_2r."""
+    t = sum((MPoly({(c + q * e + q2 * e2, 0, 0, 0): k})
+             for (c, e, e2, _), k in num.terms.items()), MPoly())
+    return cyclo._at_zeta(t, r)
+
+
+def test_the_rewrite_keeps_t1_powers_0_to_3():
+    t1 = lambda e, c=0, e2=0: MPoly({(c, e, e2, 0): 1})
+    for r0 in range(4):
+        # T_1^4 = -t^-r0, so T_1^-1 = -t^r0 T_1^3 and T_1^-4 = -t^r0
+        assert cyclo._mod_t_r(t1(4), r0) == -t1(0, -r0)
+        assert cyclo._mod_t_r(t1(-1), r0) == -t1(3, r0)
+        assert cyclo._mod_t_r(t1(-4), r0) == -t1(0, r0)
+        assert cyclo._mod_t_r(t1(-8, 1, -3), r0) == t1(0, 1 + 2 * r0, -3)
+        assert cyclo._mod_t_r(t1(5) + t1(1, -r0), r0) == 0
+        num = t1(-7, 2, -1) * 5 - t1(6, -1, 2) + t1(-2, 0, -5) * 3 + 1
+        rewritten = cyclo._mod_t_r(num, r0)
+        assert {e[1] for e in rewritten.terms} <= {0, 1, 2, 3}
+        # the same value at every t = zeta_2r, r = r0 + 4q, for any T_2
+        for q in range(1, 5):
+            r = r0 + 4 * q
+            for q2 in (-3, 0, 2):
+                assert _at_t(rewritten, r, q, q2) == _at_t(num, r, q, q2)
 
 
 def test_norm_invertibility_suite_small():

@@ -244,6 +244,39 @@ def test_the_catalog_to_30_is_proved_class_by_class(monkeypatch):
     assert seen.count(int) == 0
 
 
+def test_the_vanishing_hook_decides_differences_only():
+    tuples = [(n,) for n in range(-3, 4)]
+    asked = []
+
+    def on_tuples(num, args):
+        asked.append(args)
+        return isinstance(args[0], int)
+
+    def off_by_one(r, n):
+        return [(r.u(n), r.u(n) + 1)]
+
+    # each of the 4 classes is asked and fails, then each of its tuples
+    assert certify(off_by_one, tuples, on_tuples)[0] == []
+    kinds = [type(args[0]) for args in asked]
+    assert kinds.count(identities._Affine) == 4 and kinds.count(int) == 7
+    assert certify(off_by_one, tuples)[0] == tuples
+    # equal numerators never reach the hook
+    asked.clear()
+    assert certify(IDENTITIES["A1"][2], tuples, on_tuples)[0] == []
+    assert asked == []
+
+
+def test_c6_16_is_proved_for_negative_odd_p_by_its_classes():
+    # its domain, odd p >= 1, cuts the classes 1 and 3 mod 4 by a sign; the
+    # proof of each class covers odd p <= -1 too, with no tuple on its own
+    build = IDENTITIES["C6_16"][2]
+    tuples = [(-p,) for p in range(1, 32, 2)]
+    seen = []
+    assert certify(recording(build, seen), tuples)[0] == []
+    assert seen == [identities._Affine] * 2
+    assert upoly_failures(build, tuples) == []
+
+
 def test_index_batches_refuse_to_branch():
     # n = 3 + 4 q as a class index: t^n = t^3 T^4
     n = identities._Affine((3, 4))

@@ -159,3 +159,21 @@ def test_prem_needs_a_divisor_linear_in_the_variable():
     # below the divisor's degree, f is its own pseudo-remainder
     assert prem(ALPHA + L, L + M + GAMMA, 3) == ALPHA + L
     assert prem(MPoly(), L + M + GAMMA, 3).is_zero()
+
+
+def test_a_negative_exponent_in_the_variable_is_refused():
+    # m^2 + 5/m: 5/m once went to the top coefficient as 5 m^2
+    m_inv = MPoly({(0, 0, 0, -1): 1})
+    f = M * M + 5 * m_inv
+    with pytest.raises(ValueError):
+        f.coeffs_in(3)
+    with pytest.raises(ValueError):
+        m_inv.coeffs_in(3)
+    with pytest.raises(ValueError):
+        prem(f, M + ALPHA, 3)
+    with pytest.raises(ValueError):
+        prem(M * M, M + ALPHA * m_inv, 3)
+    # a negative exponent of another variable stays in its coefficient
+    a_inv = MPoly({(-1, 0, 0, 0): 1})
+    assert (M * M * a_inv + L).coeffs_in(3) == [L, MPoly(), a_inv]
+    assert prem(M * M * a_inv, M + ALPHA, 3) == ALPHA
